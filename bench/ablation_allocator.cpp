@@ -1,7 +1,7 @@
 // Microbenchmarks for the three allocators, through the same entry points
 // the experiments use (first_fit_allocate / best_fit_allocate /
 // optimal_allocate), plus the frozen pre-optimization branch-and-bound
-// (optimal_allocate_reference) so the speedup of the pruned search stays
+// (optimal_allocate_reference, tests/reference/) so the speedup of the pruned search stays
 // measurable.  The heuristic-quality campaign itself is produced by
 // `cps_run ablation_allocator` (src/experiments/ablation_allocator.cpp).
 //
@@ -13,6 +13,7 @@
 
 #include "analysis/slot_allocation.hpp"
 #include "experiments/fixtures.hpp"
+#include "reference/analysis_reference.hpp"
 
 namespace {
 

@@ -6,7 +6,7 @@
 // The sweep benches time the exact entry points the experiments use:
 // sim::measure_dwell_wait_curve is the optimized incremental kernel the
 // fixtures call into, measure_dwell_wait_curve_reference is the frozen
-// pre-optimization kernel, and experiments::measure_servo_curve is the
+// pre-optimization kernel (tests/reference/), and experiments::measure_servo_curve is the
 // cached fixture path.  Kernel iterations are timed manually on
 // std::chrono::steady_clock (monotonic) and reported as ns/op.
 #include "bench_common.hpp"
@@ -15,6 +15,7 @@
 
 #include "experiments/fixtures.hpp"
 #include "plants/servo_motor.hpp"
+#include "reference/sim_reference.hpp"
 #include "sim/dwell_wait.hpp"
 #include "sim/switched_system.hpp"
 
@@ -50,30 +51,9 @@ void time_sweep(benchmark::State& state, Kernel kernel) {
 }
 
 void bm_servo_curve_sweep(benchmark::State& state) {
-  // Disambiguate: measure_dwell_wait_curve gained a workspace overload.
-  time_sweep(state, [](const sim::SwitchedLinearSystem& sys, const linalg::Vector& x0,
-                       double h, const sim::DwellWaitSweepOptions& opts) {
-    return sim::measure_dwell_wait_curve(sys, x0, h, opts);
-  });
+  time_sweep(state, sim::measure_dwell_wait_curve);
 }
 BENCHMARK(bm_servo_curve_sweep)->UseManualTime()->Unit(benchmark::kNanosecond);
-
-void bm_servo_curve_sweep_workspace(benchmark::State& state) {
-  // The batched-sweep path: one worker measuring curves back to back on
-  // a reused DwellWaitWorkspace (what SweepRunner's per-worker workspace
-  // threading does).  Bit-identical curve, no per-call scratch setup.
-  const ServoSweepSetup setup;
-  sim::DwellWaitWorkspace workspace;
-  for (auto _ : state) {
-    const auto start = std::chrono::steady_clock::now();
-    auto curve = sim::measure_dwell_wait_curve(setup.sys, setup.x0, setup.h, setup.opts,
-                                               workspace);
-    const auto stop = std::chrono::steady_clock::now();
-    state.SetIterationTime(std::chrono::duration<double>(stop - start).count());
-    benchmark::DoNotOptimize(curve);
-  }
-}
-BENCHMARK(bm_servo_curve_sweep_workspace)->UseManualTime()->Unit(benchmark::kNanosecond);
 
 void bm_servo_curve_sweep_reference(benchmark::State& state) {
   time_sweep(state, sim::measure_dwell_wait_curve_reference);

@@ -1,10 +1,11 @@
 // Microbenchmarks for the batched SIMD kernel layer
-// (linalg/batch_kernels.hpp): each batched kernel next to the scalar
-// kernel it replaces, on the servo fixtures every other bench uses.  The
-// batched variants run kSimdWidth lanes per call and report MANUAL time
-// divided by the lane count, so every number is ns PER PROBLEM INSTANCE
-// and the scalar/batch pairs compare directly (bit-identical outputs per
-// lane — tests/linalg_simd_batch_test.cpp).
+// (linalg/batch_kernels.hpp): the batched settle next to the scalar settle
+// it replaces, plus the scalar expm / c2d_pair kernels every loop design
+// runs, on the servo fixtures every other bench uses.  The batched
+// variant runs kSimdWidth lanes per call and reports MANUAL time divided
+// by the lane count, so every number is ns PER PROBLEM INSTANCE and the
+// scalar/batch pair compares directly (bit-identical outputs per lane —
+// tests/linalg_simd_batch_test.cpp).
 #include "bench_common.hpp"
 
 #include <chrono>
@@ -51,17 +52,6 @@ void bm_expm_scalar(benchmark::State& state) {
 }
 BENCHMARK(bm_expm_scalar)->Unit(benchmark::kNanosecond);
 
-void bm_expm_batch(benchmark::State& state) {
-  const linalg::Matrix ah = servo_ah();
-  std::vector<const linalg::Matrix*> ptrs(kLanes, &ah);
-  std::vector<linalg::Matrix> out(kLanes);
-  time_per_lane(state, [&] {
-    linalg::expm_batch(ptrs.data(), kLanes, out.data());
-    benchmark::DoNotOptimize(out);
-  });
-}
-BENCHMARK(bm_expm_batch)->Unit(benchmark::kNanosecond)->UseManualTime();
-
 void bm_c2d_pair_scalar(benchmark::State& state) {
   const auto plant = plants::make_servo_motor();
   for (auto _ : state) {
@@ -70,18 +60,6 @@ void bm_c2d_pair_scalar(benchmark::State& state) {
   }
 }
 BENCHMARK(bm_c2d_pair_scalar)->Unit(benchmark::kNanosecond);
-
-void bm_c2d_pair_batch(benchmark::State& state) {
-  const auto plant = plants::make_servo_motor();
-  std::vector<const control::StateSpace*> plants_w(kLanes, &plant);
-  std::vector<double> h(kLanes, 0.02), d_tt(kLanes, 0.0), d_et(kLanes, 0.02);
-  time_per_lane(state, [&] {
-    auto pairs =
-        control::c2d_pair_batch(plants_w.data(), h.data(), d_tt.data(), d_et.data(), kLanes);
-    benchmark::DoNotOptimize(pairs);
-  });
-}
-BENCHMARK(bm_c2d_pair_batch)->Unit(benchmark::kNanosecond)->UseManualTime();
 
 void bm_settle_scalar(benchmark::State& state) {
   const auto design = plants::design_servo_loops();

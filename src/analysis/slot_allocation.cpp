@@ -911,65 +911,4 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
   return profile;
 }
 
-Allocation optimal_allocate_reference(std::vector<AppSchedParams> apps,
-                                      const AllocationOptions& options,
-                                      std::size_t max_apps_for_exact) {
-  CPS_ENSURE(!apps.empty(), "optimal_allocate: need at least one application");
-  CPS_ENSURE(apps.size() <= max_apps_for_exact,
-             "optimal_allocate: exact search limited to max_apps_for_exact applications");
-  sort_by_priority(apps);
-  for (const auto& app : apps) {
-    if (!analyze_slot({app}, options.method).all_schedulable)
-      throw InfeasibleError("application '" + app.name +
-                            "' cannot meet its deadline even on a dedicated TT slot");
-  }
-
-  // The seed's pre-optimization branch and bound, frozen: place
-  // applications one by one into an existing block or a new one, pruning
-  // only branches that already use >= the best-known number of slots, with
-  // a full analyze_slot per visited node.
-  std::vector<std::vector<AppSchedParams>> best;
-  std::size_t best_count;
-  {
-    const Allocation seed = first_fit_allocate(apps, AllocationOptions{options.method, 0});
-    best_count = seed.slot_count();
-    best.clear();
-    for (const auto& names : seed.slots) {
-      std::vector<AppSchedParams> block;
-      for (const auto& name : names)
-        for (const auto& app : apps)
-          if (app.name == name) block.push_back(app);
-      best.push_back(std::move(block));
-    }
-  }
-
-  std::vector<std::vector<AppSchedParams>> current;
-  auto recurse = [&](auto&& self, std::size_t index) -> void {
-    if (current.size() >= best_count) return;  // cannot improve
-    if (index == apps.size()) {
-      best = current;
-      best_count = current.size();
-      return;
-    }
-    const AppSchedParams& app = apps[index];
-    for (std::size_t s = 0; s < current.size(); ++s) {
-      current[s].push_back(app);
-      if (analyze_slot(current[s], options.method).all_schedulable) self(self, index + 1);
-      current[s].pop_back();
-    }
-    if (current.size() + 1 < best_count) {
-      current.push_back({app});
-      self(self, index + 1);
-      current.pop_back();
-    }
-  };
-  recurse(recurse, 0);
-
-  if (options.max_slots != 0 && best_count > options.max_slots)
-    throw InfeasibleError("optimal allocation still exceeds the available " +
-                          std::to_string(options.max_slots) + " TT slots");
-  for (auto& slot : best) sort_by_priority(slot);
-  return finalize(std::move(best), options);
-}
-
 }  // namespace cps::analysis

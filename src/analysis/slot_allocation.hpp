@@ -104,7 +104,8 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 ///  2. when the proven optimum improves on the first-fit seed, a canonical
 ///     depth-first pass reconstructs the exact partition the
 ///     pre-optimization search would have returned.
-/// The result is therefore bit-identical to optimal_allocate_reference for
+/// The result is therefore bit-identical to the frozen pre-optimization
+/// exhaustive search (optimal_allocate_reference in tests/reference/) for
 /// every input on which the slot analysis completes (asserted by
 /// tests/analysis_golden_test.cpp) and identical at every exact_jobs
 /// value (tests/analysis_parallel_alloc_test.cpp).  One carve-out: under
@@ -146,13 +147,5 @@ struct ExactSearchProfile {
 ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
                                         const AllocationOptions& options = {},
                                         std::size_t max_apps_for_exact = 20);
-
-/// The pre-optimization exhaustive branch-and-bound, frozen verbatim (one
-/// full analyze_slot per visited node, no lower bounds, no memoization).
-/// Kept as the golden baseline for the regression tests and the speedup
-/// benches; not used by any experiment.
-Allocation optimal_allocate_reference(std::vector<AppSchedParams> apps,
-                                      const AllocationOptions& options = {},
-                                      std::size_t max_apps_for_exact = 12);
 
 }  // namespace cps::analysis

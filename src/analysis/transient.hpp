@@ -38,31 +38,13 @@ struct TransientGrowthOptions {
   double tol = 1e-9;
 };
 
-/// Reusable scratch of the matrix-power recursion: the running power and
-/// its double buffer.  One workspace per SweepRunner worker lets sweep
-/// bodies compute many envelopes without reallocating the pair (both
-/// matrices are fully overwritten per call).
-struct TransientWorkspace {
-  linalg::Matrix power;
-  linalg::Matrix scratch;
-};
-
 /// Compute the growth envelope of a Schur-stable `a`.  Throws
 /// NumericalError when `a` is not Schur stable (the envelope diverges).
-/// The matrix-power recursion runs on double-buffered in-place kernels.
+/// The matrix-power recursion runs on double-buffered in-place kernels,
+/// bit-identical to the frozen one-temporary-per-step reference
+/// (tests/sim_golden_test.cpp).
 TransientGrowth transient_growth(const linalg::Matrix& a,
                                  const TransientGrowthOptions& opts = {});
-
-/// Workspace-threading overload (bit-identical envelope, buffers reused
-/// from `workspace`).
-TransientGrowth transient_growth(const linalg::Matrix& a, const TransientGrowthOptions& opts,
-                                 TransientWorkspace& workspace);
-
-/// Frozen pre-optimization copy of transient_growth() (one matrix
-/// temporary per power step); bit-identical — the golden baseline of
-/// tests/sim_golden_test.cpp.
-TransientGrowth transient_growth_reference(const linalg::Matrix& a,
-                                           const TransientGrowthOptions& opts = {});
 
 /// Growth envelope restricted to the leading `norm_dim` coordinates on
 /// both sides: gamma = max_k ||P A^k P^T||_2 with P selecting the first
@@ -72,17 +54,6 @@ TransientGrowth transient_growth_reference(const linalg::Matrix& a,
 /// held input is at its steady value when the excursion starts.
 TransientGrowth transient_growth_restricted(const linalg::Matrix& a, std::size_t norm_dim,
                                             const TransientGrowthOptions& opts = {});
-
-/// Workspace-threading overload of transient_growth_restricted()
-/// (bit-identical envelope, buffers reused from `workspace`).
-TransientGrowth transient_growth_restricted(const linalg::Matrix& a, std::size_t norm_dim,
-                                            const TransientGrowthOptions& opts,
-                                            TransientWorkspace& workspace);
-
-/// Frozen pre-optimization copy of transient_growth_restricted();
-/// bit-identical — the golden baseline of tests/sim_golden_test.cpp.
-TransientGrowth transient_growth_restricted_reference(
-    const linalg::Matrix& a, std::size_t norm_dim, const TransientGrowthOptions& opts = {});
 
 /// Upper bound on the steady-state excursion after a TT-slot release at
 /// norm threshold * release_factor: peak_gain * release_factor * threshold.

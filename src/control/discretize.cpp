@@ -1,6 +1,5 @@
 #include "control/discretize.hpp"
 
-#include "linalg/batch_kernels.hpp"
 #include "linalg/expm.hpp"
 #include "linalg/kernels.hpp"
 #include "util/error.hpp"
@@ -86,78 +85,6 @@ std::pair<DiscreteSystem, DiscreteSystem> c2d_pair(const StateSpace& plant, doub
   CPS_ENSURE(d_second >= 0.0 && d_second <= h, "c2d: delay must satisfy 0 <= d <= h");
   const linalg::ZohPair full = linalg::zoh_integrals(plant.a(), plant.b(), h);
   return {c2d_from_full(plant, full, h, d_first), c2d_from_full(plant, full, h, d_second)};
-}
-
-std::vector<std::pair<DiscreteSystem, DiscreteSystem>> c2d_pair_batch(
-    const StateSpace* const* plants, const double* h, const double* d_first,
-    const double* d_second, std::size_t count) {
-  constexpr std::size_t W = linalg::kSimdWidth;
-  CPS_ENSURE(count >= 1 && count <= W, "c2d_pair_batch: count must be in [1, kSimdWidth]");
-  const std::size_t n = plants[0]->state_dim();
-  const std::size_t m = plants[0]->input_dim();
-  std::vector<const linalg::Matrix*> as(count);
-  std::vector<const linalg::Matrix*> bs(count);
-  for (std::size_t l = 0; l < count; ++l) {
-    CPS_ENSURE(h[l] > 0.0, "c2d: sampling period must be positive");
-    CPS_ENSURE(d_first[l] >= 0.0 && d_first[l] <= h[l], "c2d: delay must satisfy 0 <= d <= h");
-    CPS_ENSURE(d_second[l] >= 0.0 && d_second[l] <= h[l],
-               "c2d: delay must satisfy 0 <= d <= h");
-    CPS_ENSURE(plants[l]->state_dim() == n && plants[l]->input_dim() == m,
-               "c2d_pair_batch: lanes must share one plant shape");
-    as[l] = &plants[l]->a();
-    bs[l] = &plants[l]->b();
-  }
-
-  // The delay-independent full-period factorization, W lanes per expm.
-  std::vector<linalg::ZohPair> full(count);
-  linalg::zoh_integrals_batch(as.data(), bs.data(), h, count, full.data());
-
-  // General-delay lanes additionally need zoh(h - d) and zoh(d); shortcut
-  // lanes (d == 0 or d == h) ride along with t = 0 (exact {I, 0}, cheap
-  // and discarded) so the batch stays one call per delay set.
-  const auto build_mode = [&](const double* d) {
-    std::vector<DiscreteSystem> mode;
-    mode.reserve(count);
-    std::vector<double> t_hd(count, 0.0);
-    std::vector<double> t_d(count, 0.0);
-    bool any_general = false;
-    for (std::size_t l = 0; l < count; ++l) {
-      if (d[l] != 0.0 && d[l] != h[l]) {
-        t_hd[l] = h[l] - d[l];
-        t_d[l] = d[l];
-        any_general = true;
-      }
-    }
-    std::vector<linalg::ZohPair> zoh_hd(count);
-    std::vector<linalg::ZohPair> zoh_d(count);
-    if (any_general) {
-      linalg::zoh_integrals_batch(as.data(), bs.data(), t_hd.data(), count, zoh_hd.data());
-      linalg::zoh_integrals_batch(as.data(), bs.data(), t_d.data(), count, zoh_d.data());
-    }
-    for (std::size_t l = 0; l < count; ++l) {
-      if (d[l] == 0.0) {
-        mode.emplace_back(full[l].phi, full[l].gamma, linalg::Matrix::zero(n, m),
-                          plants[l]->c(), h[l], d[l]);
-      } else if (d[l] == h[l]) {
-        mode.emplace_back(full[l].phi, linalg::Matrix::zero(n, m), full[l].gamma,
-                          plants[l]->c(), h[l], d[l]);
-      } else {
-        linalg::Matrix gamma1;
-        linalg::multiply_into(zoh_hd[l].phi, zoh_d[l].gamma, gamma1);
-        mode.emplace_back(full[l].phi, zoh_hd[l].gamma, std::move(gamma1), plants[l]->c(),
-                          h[l], d[l]);
-      }
-    }
-    return mode;
-  };
-  std::vector<DiscreteSystem> first = build_mode(d_first);
-  std::vector<DiscreteSystem> second = build_mode(d_second);
-
-  std::vector<std::pair<DiscreteSystem, DiscreteSystem>> out;
-  out.reserve(count);
-  for (std::size_t l = 0; l < count; ++l)
-    out.emplace_back(std::move(first[l]), std::move(second[l]));
-  return out;
 }
 
 }  // namespace cps::control

@@ -19,7 +19,6 @@
 
 #include <cstddef>
 #include <utility>
-#include <vector>
 
 #include "control/state_space.hpp"
 #include "linalg/matrix.hpp"
@@ -79,16 +78,5 @@ DiscreteSystem c2d(const StateSpace& plant, double h, double d = 0.0);
 /// two-mode loop design uses, where both mode models share h.
 std::pair<DiscreteSystem, DiscreteSystem> c2d_pair(const StateSpace& plant, double h,
                                                    double d_first, double d_second);
-
-/// Batched c2d_pair: lane l (1 <= count <= linalg::kSimdWidth lanes, all
-/// plants sharing one (state, input) shape) is bit-identical to
-/// c2d_pair(*plants[l], h[l], d_first[l], d_second[l]).  The three ZOH
-/// factorizations run as zoh_integrals_batch calls — one expm instruction
-/// stream per W lanes — with the scalar kernel's exact d == 0 / d == h
-/// shortcuts replicated per lane; the remaining assembly (Gamma1 product)
-/// uses the scalar multiply kernel per lane.
-std::vector<std::pair<DiscreteSystem, DiscreteSystem>> c2d_pair_batch(
-    const StateSpace* const* plants, const double* h, const double* d_first,
-    const double* d_second, std::size_t count);
 
 }  // namespace cps::control

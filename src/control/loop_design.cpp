@@ -1,13 +1,10 @@
 #include "control/loop_design.hpp"
 
-#include <algorithm>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "control/pole_placement.hpp"
 #include "linalg/eigen.hpp"
-#include "linalg/simd_batch.hpp"
 #include "util/error.hpp"
 
 namespace cps::control {
@@ -78,15 +75,25 @@ std::vector<std::complex<double>> oscillatory_pole_set(double rho, double theta,
   return poles;
 }
 
-namespace {
+HybridLoopDesign design_hybrid_loops(const StateSpace& plant,
+                                     const PolePlacementLoopSpec& spec) {
+  CPS_ENSURE(plant.input_dim() == 1,
+             "pole-placement design supports single-input plants only");
+  CPS_ENSURE(spec.sampling_period > 0.0, "design_hybrid_loops: h must be positive");
+  CPS_ENSURE(spec.delay_tt >= 0.0 && spec.delay_tt <= spec.sampling_period,
+             "design_hybrid_loops: 0 <= d_tt <= h required");
+  CPS_ENSURE(spec.delay_et >= 0.0 && spec.delay_et <= spec.sampling_period,
+             "design_hybrid_loops: 0 <= d_et <= h required");
+  const std::size_t n = plant.state_dim();
+  CPS_ENSURE(spec.poles_tt.size() == n + 1, "poles_tt must contain n+1 poles");
+  CPS_ENSURE(spec.poles_et.size() == n + 1, "poles_et must contain n+1 poles");
+  for (const auto& p : spec.poles_tt)
+    CPS_ENSURE(std::abs(p) < 1.0, "poles_tt must lie inside the unit disc");
+  for (const auto& p : spec.poles_et)
+    CPS_ENSURE(std::abs(p) < 1.0, "poles_et must lie inside the unit disc");
 
-/// Shared back half of the pole-placement design: everything after the
-/// discretization, on (sys_tt, sys_et) produced either by the scalar
-/// c2d_pair or by one lane of c2d_pair_batch — bit-identical operands
-/// either way, so the placed gains and audits are too.
-HybridLoopDesign finish_pole_placement_design(const PolePlacementLoopSpec& spec,
-                                              DiscreteSystem sys_tt, DiscreteSystem sys_et,
-                                              std::size_t n) {
+  auto [sys_tt, sys_et] =
+      c2d_pair(plant, spec.sampling_period, spec.delay_tt, spec.delay_et);
   const auto aug_tt = sys_tt.augmented();
   const auto aug_et = sys_et.augmented();
 
@@ -102,87 +109,6 @@ HybridLoopDesign finish_pole_placement_design(const PolePlacementLoopSpec& spec,
   if (out.rho_et >= 1.0)
     throw NumericalError("design_hybrid_loops(poles): ET closed loop unstable");
   return out;
-}
-
-void validate_pole_placement_inputs(const StateSpace& plant,
-                                    const PolePlacementLoopSpec& spec) {
-  CPS_ENSURE(plant.input_dim() == 1,
-             "pole-placement design supports single-input plants only");
-  CPS_ENSURE(spec.sampling_period > 0.0, "design_hybrid_loops: h must be positive");
-  CPS_ENSURE(spec.delay_tt >= 0.0 && spec.delay_tt <= spec.sampling_period,
-             "design_hybrid_loops: 0 <= d_tt <= h required");
-  CPS_ENSURE(spec.delay_et >= 0.0 && spec.delay_et <= spec.sampling_period,
-             "design_hybrid_loops: 0 <= d_et <= h required");
-  const std::size_t n = plant.state_dim();
-  CPS_ENSURE(spec.poles_tt.size() == n + 1, "poles_tt must contain n+1 poles");
-  CPS_ENSURE(spec.poles_et.size() == n + 1, "poles_et must contain n+1 poles");
-  for (const auto& p : spec.poles_tt)
-    CPS_ENSURE(std::abs(p) < 1.0, "poles_tt must lie inside the unit disc");
-  for (const auto& p : spec.poles_et)
-    CPS_ENSURE(std::abs(p) < 1.0, "poles_et must lie inside the unit disc");
-}
-
-}  // namespace
-
-std::vector<HybridLoopDesign> design_hybrid_loops_batch(
-    const std::vector<const StateSpace*>& plants,
-    const std::vector<const PolePlacementLoopSpec*>& specs) {
-  CPS_ENSURE(plants.size() == specs.size(),
-             "design_hybrid_loops_batch: plants/specs size mismatch");
-  const std::size_t count = plants.size();
-  std::vector<std::optional<HybridLoopDesign>> slots(count);
-  for (std::size_t i = 0; i < count; ++i) validate_pole_placement_inputs(*plants[i], *specs[i]);
-
-  // Group by plant shape (batch lanes must agree on dimensions), keeping
-  // each group's entries in input order; results scatter back by index,
-  // so the output order never depends on the grouping.
-  std::vector<std::size_t> order(count);
-  for (std::size_t i = 0; i < count; ++i) order[i] = i;
-  std::stable_sort(order.begin(), order.end(), [&](std::size_t lhs, std::size_t rhs) {
-    return plants[lhs]->state_dim() < plants[rhs]->state_dim();
-  });
-
-  constexpr std::size_t W = linalg::kSimdWidth;
-  std::size_t g = 0;
-  while (g < count) {
-    std::size_t g_end = g + 1;
-    while (g_end < count &&
-           plants[order[g_end]]->state_dim() == plants[order[g]]->state_dim())
-      ++g_end;
-    for (std::size_t lo = g; lo < g_end; lo += W) {
-      const std::size_t lanes = std::min(W, g_end - lo);
-      const StateSpace* lane_plants[W];
-      double h[W], d_tt[W], d_et[W];
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::size_t i = order[lo + l];
-        lane_plants[l] = plants[i];
-        h[l] = specs[i]->sampling_period;
-        d_tt[l] = specs[i]->delay_tt;
-        d_et[l] = specs[i]->delay_et;
-      }
-      auto pairs = c2d_pair_batch(lane_plants, h, d_tt, d_et, lanes);
-      for (std::size_t l = 0; l < lanes; ++l) {
-        const std::size_t i = order[lo + l];
-        slots[i] = finish_pole_placement_design(*specs[i], std::move(pairs[l].first),
-                                                std::move(pairs[l].second),
-                                                plants[i]->state_dim());
-      }
-    }
-    g = g_end;
-  }
-  std::vector<HybridLoopDesign> out;
-  out.reserve(count);
-  for (auto& slot : slots) out.push_back(std::move(*slot));
-  return out;
-}
-
-HybridLoopDesign design_hybrid_loops(const StateSpace& plant,
-                                     const PolePlacementLoopSpec& spec) {
-  validate_pole_placement_inputs(plant, spec);
-  auto [sys_tt, sys_et] =
-      c2d_pair(plant, spec.sampling_period, spec.delay_tt, spec.delay_et);
-  return finish_pole_placement_design(spec, std::move(sys_tt), std::move(sys_et),
-                                      plant.state_dim());
 }
 
 }  // namespace cps::control

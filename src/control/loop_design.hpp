@@ -82,18 +82,6 @@ struct PolePlacementLoopSpec {
 HybridLoopDesign design_hybrid_loops(const StateSpace& plant,
                                      const PolePlacementLoopSpec& spec);
 
-/// Batched pole-placement design: result[i] is bit-identical to
-/// design_hybrid_loops(*plants[i], *specs[i]) for every i (any count; the
-/// call groups entries of equal (state, input) shape internally and runs
-/// linalg::kSimdWidth lanes per batch).  The c2d_pair stage — where the
-/// expm cost lives — runs through the batched SIMD kernels; Ackermann
-/// pole placement and the spectral-radius audit stay scalar per lane
-/// (data-dependent eliminations), operating on batch-produced matrices
-/// that are bit-identical to the scalar path's, so the gains are too.
-std::vector<HybridLoopDesign> design_hybrid_loops_batch(
-    const std::vector<const StateSpace*>& plants,
-    const std::vector<const PolePlacementLoopSpec*>& specs);
-
 /// Helper: conjugate pair at radius rho and angle theta plus real poles
 /// for the remaining states (all at `rest`).
 std::vector<std::complex<double>> oscillatory_pole_set(double rho, double theta,

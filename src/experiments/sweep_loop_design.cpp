@@ -1,17 +1,15 @@
 // Experiment "sweep_loop_design" — batch two-mode loop design across the
 // synthesized Table I fleet (new workload, not a paper figure): every
 // (application x repeat) grid cell runs the full design pipeline from
-// scratch — c2d_pair discretization (shared e^{Ah} factorization, pushed
-// through the SoA SIMD lanes of design_hybrid_loops_batch span by span),
+// scratch — c2d_pair discretization (shared e^{Ah} factorization),
 // Ackermann pole placement on the augmented realizations, the
 // spectral-radius stability audit, and the ET-loop transient-envelope
-// audit (matrix powers on the worker's reusable TransientWorkspace) —
-// exercising the allocation-free linalg path end-to-end under cps_run.
-// A second phase fetches the same designs through the content-addressed
-// FixtureCache (one miss per application, hits afterwards) and
-// cross-checks the cached gains bit-for-bit against the freshly computed
-// ones — a built-in differential test of the batched design path, since
-// the cache holds scalar-designed gains.
+// audit (matrix powers) — exercising the allocation-free linalg path
+// end-to-end under cps_run.  A second phase fetches the same designs
+// through the content-addressed FixtureCache (one miss per application,
+// hits afterwards) and cross-checks the cached gains bit-for-bit against
+// the freshly computed ones, so a cache or codec that altered a design
+// fails the run.
 //
 // The CSV records only deterministic design facts (dimensions, spectral
 // radii, gain norms), so the artifact is bit-identical at any --jobs; the
@@ -23,7 +21,6 @@
 
 #include "analysis/transient.hpp"
 #include "control/loop_design.hpp"
-#include "linalg/simd_batch.hpp"
 #include "experiments/fixtures.hpp"
 #include "plants/table1.hpp"
 #include "runtime/experiment.hpp"
@@ -40,7 +37,6 @@ using namespace cps;
 constexpr std::size_t kRepeatsPerApp = 25;
 
 struct DesignCell {
-  std::size_t app_index = 0;
   double rho_tt = 0.0;
   double rho_et = 0.0;
   double gamma_et = 1.0;   // ET-loop transient envelope peak (plant states)
@@ -59,52 +55,25 @@ CPS_EXPERIMENT(sweep_loop_design,
   std::fprintf(ctx.out, "(%zu applications x %zu repeats, %d jobs)\n\n", apps,
                kRepeatsPerApp, ctx.jobs);
 
-  // Phase 1: cold batch design — every span gathers its grid cells'
-  // plants into one SoA batch (design_hybrid_loops_batch pushes the
-  // c2d/expm stage through linalg::kSimdWidth SIMD lanes; every lane is
-  // bit-identical to the scalar design, so span boundaries cannot leak
-  // into the results), then audits each ET loop's transient envelope
-  // (the growth that produces the Fig. 3 non-monotonicity) on the
-  // worker's reusable matrix-power workspace.
+  // Phase 1: cold design of every grid cell, then an audit of its ET
+  // loop's transient envelope (the growth that produces the Fig. 3
+  // non-monotonicity).
   runtime::SweepRunner sweep({ctx.jobs, ctx.seed});
-  const auto cells = sweep.run_span_with_workspace<analysis::TransientWorkspace>(
-      apps * kRepeatsPerApp,
-      [&](const runtime::IndexSpan& span, analysis::TransientWorkspace& workspace) {
-        std::vector<const control::StateSpace*> plants;
-        std::vector<const control::PolePlacementLoopSpec*> specs;
-        plants.reserve(span.size());
-        specs.reserve(span.size());
-        for (std::size_t index = span.begin; index < span.end; ++index) {
-          const auto& app = (*fleet)[index % apps];
-          plants.push_back(&app.plant);
-          specs.push_back(&app.spec);
-        }
-        const auto start = std::chrono::steady_clock::now();
-        const auto designs = control::design_hybrid_loops_batch(plants, specs);
-        const auto stop = std::chrono::steady_clock::now();
-        // The batch designs as one instruction stream, so the per-cell
-        // share of the wall time is the honest per-design figure.
-        const double seconds_per_design =
-            std::chrono::duration<double>(stop - start).count() /
-            static_cast<double>(designs.size());
-        std::vector<DesignCell> block;
-        block.reserve(span.size());
-        for (std::size_t j = 0; j < span.size(); ++j) {
-          const auto& design = designs[j];
-          const auto growth = analysis::transient_growth_restricted(
-              design.a_et, design.state_dim, {}, workspace);
-          DesignCell cell;
-          cell.app_index = (span.begin + j) % apps;
-          cell.design_seconds = seconds_per_design;
-          cell.rho_tt = design.rho_tt;
-          cell.rho_et = design.rho_et;
-          cell.gamma_et = growth.peak_gain;
-          cell.gain_tt = design.gain_tt;
-          cell.gain_et = design.gain_et;
-          block.push_back(std::move(cell));
-        }
-        return block;
-      });
+  const auto cells = sweep.run(apps * kRepeatsPerApp, [&](std::size_t index, Rng&) {
+    const auto& app = (*fleet)[index % apps];
+    const auto start = std::chrono::steady_clock::now();
+    const auto design = control::design_hybrid_loops(app.plant, app.spec);
+    const auto stop = std::chrono::steady_clock::now();
+    const auto growth = analysis::transient_growth_restricted(design.a_et, design.state_dim);
+    DesignCell cell;
+    cell.design_seconds = std::chrono::duration<double>(stop - start).count();
+    cell.rho_tt = design.rho_tt;
+    cell.rho_et = design.rho_et;
+    cell.gamma_et = growth.peak_gain;
+    cell.gain_tt = design.gain_tt;
+    cell.gain_et = design.gain_et;
+    return cell;
+  });
 
   double batch_seconds = 0.0;
   for (const auto& cell : cells) batch_seconds += cell.design_seconds;
@@ -119,7 +88,7 @@ CPS_EXPERIMENT(sweep_loop_design,
   for (std::size_t i = 0; i < apps; ++i) {
     const auto& fresh = cells[i];  // repeat 0 of application i
     const auto& cached = cached_apps[i];
-    // Bit-exact, elementwise agreement between the batch-designed and
+    // Bit-exact, elementwise agreement between the freshly designed and
     // cached gain matrices (Matrix::operator== compares every entry).
     if (!(cached.design().gain_tt == fresh.gain_tt) ||
         !(cached.design().gain_et == fresh.gain_et)) {
@@ -151,13 +120,12 @@ CPS_EXPERIMENT(sweep_loop_design,
 
   const double per_design_us = batch_seconds * 1e6 / static_cast<double>(cells.size());
   std::fprintf(ctx.out,
-               "batch: %zu designs in %.1f ms (%.2f us/design through the "
-               "%zu-lane %s batch path, includes the spectral-radius audit)\n",
-               cells.size(), batch_seconds * 1e3, per_design_us, linalg::kSimdWidth,
-               linalg::simd_isa_name());
+               "batch: %zu designs in %.1f ms (%.2f us/design, includes the "
+               "spectral-radius audit)\n",
+               cells.size(), batch_seconds * 1e3, per_design_us);
   std::fprintf(ctx.out, "cache: +%zu misses, +%zu hits while building the fleet; gains %s\n",
                stats_after.misses - stats_before.misses, stats_after.hits - stats_before.hits,
-               cache_matches ? "bit-identical to the batch designs" : "MISMATCH");
+               cache_matches ? "bit-identical to the fresh designs" : "MISMATCH");
   std::fprintf(ctx.out, "per-application design facts written to %s\n\n", csv_path.c_str());
   if (!cache_matches) throw cps::Error("sweep_loop_design: cached designs diverged");
 }

@@ -1,79 +1,14 @@
 #include "linalg/batch_kernels.hpp"
 
-#include <cmath>
-#include <vector>
+#include <string>
 
-#include "linalg/lu.hpp"
 #include "util/error.hpp"
 
 namespace cps::linalg {
 
-namespace {
-
-/// Zero-fill `out` as rows x cols across every lane — the batched form of
-/// the scalar kernels' reset(): every output entry accumulates by += from
-/// 0.0, exactly as the operator forms start from a zero matrix.
-void batch_reset(BatchMat& out, std::size_t rows, std::size_t cols) {
-  out.resize(rows, cols);
-  double* p = out.data();
-  const std::size_t n = rows * cols * kSimdWidth;
-  for (std::size_t i = 0; i < n; ++i) p[i] = 0.0;
-}
-
-void check_no_alias(const void* out, const void* a, const char* kernel) {
-  if (out == a) throw InvalidArgument(std::string(kernel) + ": out must not alias an input");
-}
-
-}  // namespace
-
-void batch_multiply_into(const BatchMat& a, const BatchMat& b, BatchMat& out) {
-  check_no_alias(&out, &a, "batch_multiply_into");
-  check_no_alias(&out, &b, "batch_multiply_into");
-  if (a.cols() != b.rows())
-    throw DimensionMismatch("batch_multiply_into: " + std::to_string(a.rows()) + "x" +
-                            std::to_string(a.cols()) + " times " + std::to_string(b.rows()) +
-                            "x" + std::to_string(b.cols()));
-  const std::size_t rows = a.rows();
-  const std::size_t inner = a.cols();
-  const std::size_t cols = b.cols();
-  batch_reset(out, rows, cols);
-  // Same i, k, j loop nest as multiply_into; the scalar `if (aik == 0.0)
-  // continue;` becomes a per-lane compare + blend inside the j loop.
-  for (std::size_t i = 0; i < rows; ++i) {
-    for (std::size_t k = 0; k < inner; ++k) {
-      const DoubleBatch aik = DoubleBatch::load(a.at(i * inner + k));
-      for (std::size_t j = 0; j < cols; ++j) {
-        double* o = out.at(i * cols + j);
-        const DoubleBatch acc = DoubleBatch::load(o);
-        const DoubleBatch brow = DoubleBatch::load(b.at(k * cols + j));
-        DoubleBatch::accumulate_skip_zero(aik, brow, acc).store(o);
-      }
-    }
-  }
-}
-
-void batch_apply_into(const BatchMat& a, const BatchVec& x, BatchVec& out) {
-  check_no_alias(&out, &x, "batch_apply_into");
-  if (a.cols() != x.size())
-    throw DimensionMismatch("batch_apply_into: " + std::to_string(a.rows()) + "x" +
-                            std::to_string(a.cols()) + " times vector of size " +
-                            std::to_string(x.size()));
-  const std::size_t rows = a.rows();
-  const std::size_t cols = a.cols();
-  out.resize(rows);
-  for (std::size_t i = 0; i < rows; ++i) {
-    DoubleBatch acc = DoubleBatch::zero();
-    for (std::size_t j = 0; j < cols; ++j) {
-      const DoubleBatch aij = DoubleBatch::load(a.at(i * cols + j));
-      const DoubleBatch xj = DoubleBatch::load(x.at(j));
-      acc = DoubleBatch::multiply_add(aij, xj, acc);
-    }
-    acc.store(out.at(i));
-  }
-}
-
 void batch_apply_shared_into(const Matrix& a, const BatchVec& x, BatchVec& out) {
-  check_no_alias(&out, &x, "batch_apply_shared_into");
+  if (&out == &x)
+    throw InvalidArgument("batch_apply_shared_into: out must not alias an input");
   if (a.cols() != x.size())
     throw DimensionMismatch("batch_apply_shared_into: " + std::to_string(a.rows()) + "x" +
                             std::to_string(a.cols()) + " times vector of size " +
@@ -91,165 +26,6 @@ void batch_apply_shared_into(const Matrix& a, const BatchVec& x, BatchVec& out) 
       acc = DoubleBatch::multiply_add(aij, xj, acc);
     }
     acc.store(out.at(i));
-  }
-}
-
-void batch_add_scaled_into(BatchMat& acc, const BatchMat& x, double s) {
-  check_no_alias(&acc, &x, "batch_add_scaled_into");
-  if (acc.rows() != x.rows() || acc.cols() != x.cols())
-    throw DimensionMismatch("batch_add_scaled_into requires equal dimensions");
-  const std::size_t n = acc.element_count() * kSimdWidth;
-  double* ad = acc.data();
-  const double* xd = x.data();
-  const DoubleBatch sv = DoubleBatch::broadcast(s);
-  for (std::size_t i = 0; i < n; i += kSimdWidth) {
-    const DoubleBatch a = DoubleBatch::load(ad + i);
-    const DoubleBatch xv = DoubleBatch::load(xd + i);
-    DoubleBatch::multiply_add(xv, sv, a).store(ad + i);
-  }
-}
-
-void batch_add_identity_into(BatchMat& m) {
-  if (m.rows() != m.cols())
-    throw DimensionMismatch("batch_add_identity_into requires a square matrix");
-  const std::size_t n = m.rows();
-  const DoubleBatch one = DoubleBatch::broadcast(1.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    double* d = m.at(i * n + i);
-    (DoubleBatch::load(d) + one).store(d);
-  }
-}
-
-void batch_scale_lanes(BatchMat& m, const double* s) {
-  const DoubleBatch sv = DoubleBatch::load(s);
-  double* md = m.data();
-  const std::size_t n = m.element_count() * kSimdWidth;
-  for (std::size_t i = 0; i < n; i += kSimdWidth)
-    (DoubleBatch::load(md + i) * sv).store(md + i);
-}
-
-void expm_batch(const Matrix* const* a, std::size_t count, Matrix* out) {
-  constexpr std::size_t W = kSimdWidth;
-  CPS_ENSURE(count >= 1 && count <= W, "expm_batch: count must be in [1, kSimdWidth]");
-  const std::size_t n = a[0]->rows();
-  for (std::size_t l = 0; l < count; ++l) {
-    if (!a[l]->is_square()) throw DimensionMismatch("expm requires a square matrix");
-    CPS_ENSURE(a[l]->rows() == n, "expm_batch: lanes must share one dimension");
-  }
-  if (n == 0) {
-    for (std::size_t l = 0; l < count; ++l) out[l] = *a[l];
-    return;
-  }
-
-  // Ragged tail: unused lanes replicate the last real operand, so they
-  // stay finite (no spurious NumericalError) and are simply discarded.
-  const auto lane_input = [&](std::size_t l) -> const Matrix& {
-    return *a[l < count ? l : count - 1];
-  };
-
-  // Per-lane scaling exponent from the lane's own norm_inf, with the
-  // scalar kernel's exact max-of-ascending-row-sums order.
-  double scale[W];
-  int s[W];
-  int max_s = 0;
-  for (std::size_t l = 0; l < W; ++l) {
-    const double norm = lane_input(l).norm_inf();
-    int sl = 0;
-    if (norm > 0.5) {
-      sl = static_cast<int>(std::ceil(std::log2(norm / 0.5)));
-      sl = std::max(sl, 0);
-    }
-    s[l] = sl;
-    max_s = std::max(max_s, sl);
-    scale[l] = std::ldexp(1.0, -sl);
-  }
-
-  BatchMat x(n, n);
-  for (std::size_t l = 0; l < W; ++l) x.load_lane(l, lane_input(l));
-  batch_scale_lanes(x, scale);  // x = a * 2^-s per lane, one multiply per entry
-
-  constexpr double c[7] = {1.0,         1.0 / 2.0,    5.0 / 44.0,  1.0 / 66.0,
-                           1.0 / 792.0, 1.0 / 15840.0, 1.0 / 665280.0};
-  // Same construction as the scalar kernel: the identity feeds the power
-  // and, scaled by c[0], both Padé accumulators.
-  Matrix id_c0 = Matrix::identity(n);
-  BatchMat xk;
-  xk.broadcast(id_c0);
-  id_c0 *= c[0];
-  BatchMat num;
-  num.broadcast(id_c0);
-  BatchMat den = num;
-  BatchMat scratch;
-  double sign = 1.0;
-  for (int k = 1; k <= 6; ++k) {
-    batch_multiply_into(xk, x, scratch);
-    xk.swap(scratch);
-    sign = -sign;
-    batch_add_scaled_into(num, xk, c[k]);
-    batch_add_scaled_into(den, xk, c[k] * sign);
-  }
-
-  // Per-lane LU solve (data-dependent pivoting; see the header comment) on
-  // operands bit-identical to the scalar path's.
-  Matrix den_l, num_l;
-  BatchMat result(n, n);
-  for (std::size_t l = 0; l < count; ++l) {
-    den.store_lane(l, den_l);
-    num.store_lane(l, num_l);
-    result.load_lane(l, solve(den_l, num_l));
-  }
-  for (std::size_t l = count; l < W; ++l) result.copy_lane_from(result, count - 1, l);
-
-  // Lane-masked squaring: round r squares exactly the lanes with r < s[l];
-  // finished lanes are left untouched bitwise.
-  for (int r = 0; r < max_s; ++r) {
-    batch_multiply_into(result, result, scratch);
-    for (std::size_t l = 0; l < W; ++l)
-      if (r < s[l]) result.copy_lane_from(scratch, l, l);
-  }
-
-  for (std::size_t l = 0; l < count; ++l) {
-    result.store_lane(l, out[l]);
-    if (!out[l].all_finite()) throw NumericalError("expm produced non-finite entries");
-  }
-}
-
-void zoh_integrals_batch(const Matrix* const* a, const Matrix* const* b, const double* t,
-                         std::size_t count, ZohPair* out) {
-  CPS_ENSURE(count >= 1 && count <= kSimdWidth,
-             "zoh_integrals_batch: count must be in [1, kSimdWidth]");
-  const std::size_t n = a[0]->rows();
-  const std::size_t m = b[0]->cols();
-  for (std::size_t l = 0; l < count; ++l) {
-    if (!a[l]->is_square()) throw DimensionMismatch("zoh_integrals: A must be square");
-    if (b[l]->rows() != a[l]->rows())
-      throw DimensionMismatch("zoh_integrals: B row count mismatch");
-    CPS_ENSURE(t[l] >= 0.0, "zoh_integrals: horizon must be non-negative");
-    CPS_ENSURE(a[l]->rows() == n && b[l]->cols() == m,
-               "zoh_integrals_batch: lanes must share one shape");
-  }
-
-  // Per-lane Van Loan blocks [[A t, B t], [0, 0]]; t == 0 lanes keep a
-  // zero block (finite, harmless) and are overwritten by the exact {I, 0}
-  // shortcut below, exactly as the scalar kernel skips the factorization.
-  std::vector<Matrix> blocks(count);
-  std::vector<const Matrix*> block_ptrs(count);
-  std::vector<Matrix> exps(count);
-  for (std::size_t l = 0; l < count; ++l) {
-    blocks[l] = Matrix(n + m, n + m);
-    if (t[l] != 0.0) {
-      blocks[l].set_block(0, 0, *a[l] * t[l]);
-      blocks[l].set_block(0, n, *b[l] * t[l]);
-    }
-    block_ptrs[l] = &blocks[l];
-  }
-  expm_batch(block_ptrs.data(), count, exps.data());
-  for (std::size_t l = 0; l < count; ++l) {
-    if (t[l] == 0.0) {
-      out[l] = ZohPair{Matrix::identity(n), Matrix::zero(n, m)};
-    } else {
-      out[l] = ZohPair{exps[l].block(0, 0, n, n), exps[l].block(0, n, n, m)};
-    }
   }
 }
 

@@ -1,33 +1,17 @@
-// Batched counterparts of the in-place small-matrix kernels
-// (linalg/kernels.hpp), evaluating kSimdWidth independent problem
-// instances per instruction stream on SoA storage (linalg/simd_batch.hpp).
+// Batched counterpart of the in-place matvec kernel (linalg/kernels.hpp),
+// evaluating kSimdWidth independent problem instances per instruction
+// stream on SoA storage (linalg/simd_batch.hpp).
 //
-// FP-order contract: every kernel performs, PER LANE, exactly the
+// FP-order contract: the kernel performs, PER LANE, exactly the
 // floating-point operations of the scalar kernel named in its comment, in
 // the same order — SIMD runs across lanes only, never across a lane's own
-// accumulation — so lane L of every output is bit-identical to running the
-// scalar kernel on lane L's operands.  Where a scalar kernel's control
-// flow is data-dependent, the batched form replicates it per lane:
-//   * the `aik == 0.0` sparsity skip of the multiply kernels becomes a
-//     per-lane compare + blend (simd_batch::accumulate_skip_zero), which
-//     preserves the skip's -0.0 and NaN semantics bitwise;
-//   * the per-matrix scaling exponent and squaring count of expm become
-//     per-lane values with lane-masked squaring rounds;
-//   * the LU solve inside expm runs the SCALAR solver per lane (partial
-//     pivoting is data-dependent control flow that cannot be evaluated in
-//     lockstep) — this is not a relaxation: the operands entering the
-//     solve are bit-identical to the scalar path's, and the computation IS
-//     the scalar kernel, so its result is too.
-// No kernel in this layer relies on commutative-reduction reordering; the
-// exactness table in ARCHITECTURE.md lists every kernel's status.
+// accumulation — so lane L of the output is bit-identical to running the
+// scalar kernel on lane L's operands.  No commutative-reduction
+// reordering; the exactness table in ARCHITECTURE.md lists the status.
 //
-// Aliasing: `out` must not alias any input (checked); inputs may alias
-// each other, mirroring kernels.hpp.
+// Aliasing: `out` must not alias the input vector (checked).
 #pragma once
 
-#include <cstddef>
-
-#include "linalg/expm.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd_batch.hpp"
 
@@ -35,57 +19,13 @@ namespace cps::linalg {
 
 /// The native-width aliases every batched call site uses.
 using DoubleBatch = simd_batch<double, kSimdWidth>;
-using BatchMat = BatchMatrix<kSimdWidth>;
 using BatchVec = BatchVector<kSimdWidth>;
-
-/// out = a * b per lane.  Bit-identical per lane to multiply_into
-/// (kernels.cpp), including the `aik == 0.0` skip, replicated per lane via
-/// compare + blend.
-void batch_multiply_into(const BatchMat& a, const BatchMat& b, BatchMat& out);
-
-/// out = a * x per lane.  Bit-identical per lane to apply_into
-/// (kernels.hpp) / Matrix::operator*(const Vector&): plain
-/// multiply-accumulate in ascending column order, no sparsity skip.
-void batch_apply_into(const BatchMat& a, const BatchVec& x, BatchVec& out);
 
 /// out = a * x per lane with ONE shared scalar matrix broadcast across all
 /// lanes — the switched-system per-step update, where every lane evolves
 /// under the same closed-loop matrix.  Bit-identical per lane to
-/// apply_into(a, x_lane, out_lane).
+/// apply_into(a, x_lane, out_lane): plain multiply-accumulate in ascending
+/// column order, no sparsity skip.
 void batch_apply_shared_into(const Matrix& a, const BatchVec& x, BatchVec& out);
-
-/// acc += x * s per lane, shared s.  Bit-identical per lane to
-/// add_scaled_into (kernels.cpp).
-void batch_add_scaled_into(BatchMat& acc, const BatchMat& x, double s);
-
-/// m += I per lane (square only).  Bit-identical per lane to
-/// add_identity_into (kernels.cpp).
-void batch_add_identity_into(BatchMat& m);
-
-/// m(e, lane) *= s[lane] for every element — the per-lane scalar scaling
-/// of expm's argument (Matrix::operator*(double) per lane: one multiply
-/// per entry).  `s` holds kSimdWidth per-lane factors.
-void batch_scale_lanes(BatchMat& m, const double* s);
-
-/// Batched matrix exponential: out[l] = expm(*a[l]) for l < count
-/// (1 <= count <= kSimdWidth; all inputs square with equal dimension).
-///
-/// Bit-identical per lane to expm (expm.cpp): the scaling exponent s is
-/// computed per lane from the lane's own norm_inf (same max-of-row-sums
-/// order), the [6/6] Padé accumulation runs in lockstep through the
-/// batched multiply/add_scaled kernels (same k = 1..6 order, shared
-/// coefficients), the solve runs the scalar LU per lane (see the header
-/// comment), and the repeated squaring applies per lane only while
-/// r < s_lane (lane-masked rounds; frozen lanes are untouched bitwise).
-/// Throws NumericalError exactly when the scalar expm would for some lane.
-void expm_batch(const Matrix* const* a, std::size_t count, Matrix* out);
-
-/// Batched Van Loan ZOH factorization: out[l] = zoh_integrals(*a[l],
-/// *b[l], t[l]) for l < count (1 <= count <= kSimdWidth; equal shapes
-/// across lanes).  Lanes with t == 0 produce the exact {I, 0} shortcut of
-/// the scalar kernel; the remaining lanes share one expm_batch over their
-/// block matrices.  Bit-identical per lane to zoh_integrals (expm.cpp).
-void zoh_integrals_batch(const Matrix* const* a, const Matrix* const* b, const double* t,
-                         std::size_t count, ZohPair* out);
 
 }  // namespace cps::linalg

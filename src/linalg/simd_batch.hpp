@@ -1,14 +1,14 @@
 // Portable W-wide batch of doubles plus SoA storage for lane-interleaved
-// small-matrix batches — the value type under the batched kernels
-// (linalg/batch_kernels.hpp).
+// vector batches — the value type under the batched settle kernel
+// (linalg/batch_kernels.hpp, sim::detail::settle_batch).
 //
 // A simd_batch<double, W> holds one double per LANE, where a lane is one
-// independent problem instance (one sweep point's matrix, one trajectory's
-// state).  The batched kernels keep every floating-point operation of a
-// lane in exactly the scalar kernel's order — SIMD parallelism runs ACROSS
-// lanes, never across a lane's own accumulation — which is what makes each
-// lane bit-identical to the scalar path (see batch_kernels.hpp for the
-// per-kernel contracts).
+// independent problem instance (one dwell/wait point's state).  The
+// batched kernels keep every floating-point operation of a lane in
+// exactly the scalar kernel's order — SIMD parallelism runs ACROSS lanes,
+// never across a lane's own accumulation — which is what makes each lane
+// bit-identical to the scalar path (see batch_kernels.hpp for the
+// contract).
 //
 // ISA selection (compile time, reported via kSimdWidth / simd_isa_name):
 //   CPS_BATCH_FORCE_SCALAR  -> generic scalar lanes, W = 4 (the CI
@@ -26,10 +26,6 @@
 //     optimized kernels stay bit-identical to the reference expressions,
 //     and the batch layer honors the same rule by construction (explicit
 //     mul + add intrinsics; never *_fmadd_*).
-//   * accumulate_skip_zero replicates the `if (aik == 0.0) continue;`
-//     sparsity skip of the scalar multiply kernels per lane via a
-//     compare + blend, so -0.0 / NaN propagation matches the skip exactly
-//     (0.0 * NaN or -0.0 + 0.0 would otherwise differ bitwise).
 //   * sqrt lowers to the correctly-rounded IEEE sqrt instruction per lane
 //     (vsqrtpd / fsqrt), bit-identical to std::sqrt on the same input.
 #pragma once
@@ -46,9 +42,6 @@
 #include <arm_neon.h>
 #endif
 #endif
-
-#include "linalg/matrix.hpp"
-#include "util/error.hpp"
 
 namespace cps::linalg {
 
@@ -95,23 +88,11 @@ struct simd_batch {
     return acc + (a * b);
   }
 
-  /// Per lane: aik == 0.0 ? acc : acc + aik * b — the batched form of the
-  /// scalar multiply kernels' zero skip.
-  static simd_batch accumulate_skip_zero(const simd_batch& aik, const simd_batch& b,
-                                         const simd_batch& acc) {
-    simd_batch r;
-    for (std::size_t i = 0; i < W; ++i)
-      r.lane[i] = aik.lane[i] == T(0) ? acc.lane[i] : acc.lane[i] + aik.lane[i] * b.lane[i];
-    return r;
-  }
-
   static simd_batch sqrt(const simd_batch& x) {
     simd_batch r;
     for (std::size_t i = 0; i < W; ++i) r.lane[i] = std::sqrt(x.lane[i]);
     return r;
   }
-
-  T extract(std::size_t i) const { return lane[i]; }
 };
 
 #if !defined(CPS_BATCH_FORCE_SCALAR) && defined(__AVX512F__)
@@ -140,25 +121,11 @@ struct simd_batch<double, 8> {
     // under -ffp-contract=off.  NOT _mm512_fmadd_pd.
     return {_mm512_add_pd(acc.v, _mm512_mul_pd(a.v, b.v))};
   }
-  static simd_batch accumulate_skip_zero(const simd_batch& aik, const simd_batch& b,
-                                         const simd_batch& acc) {
-    const __m512d cand = _mm512_add_pd(acc.v, _mm512_mul_pd(aik.v, b.v));
-    // EQ_OQ: NaN lanes compare false and take the accumulate path, exactly
-    // like the scalar `if (aik == 0.0) continue;`.
-    const __mmask8 is_zero = _mm512_cmp_pd_mask(aik.v, _mm512_setzero_pd(), _CMP_EQ_OQ);
-    return {_mm512_mask_blend_pd(is_zero, cand, acc.v)};
-  }
   // Full-mask maskz form: same correctly-rounded vsqrtpd on every lane,
   // but the merge source is setzero instead of the _mm512_undefined_pd
   // that makes gcc's plain _mm512_sqrt_pd trip -Wmaybe-uninitialized.
   static simd_batch sqrt(const simd_batch& x) {
     return {_mm512_maskz_sqrt_pd(static_cast<__mmask8>(0xff), x.v)};
-  }
-
-  double extract(std::size_t i) const {
-    alignas(64) double tmp[8];
-    _mm512_store_pd(tmp, v);
-    return tmp[i];
   }
 };
 
@@ -188,19 +155,8 @@ struct simd_batch<double, 4> {
     // under -ffp-contract=off.  NOT _mm256_fmadd_pd.
     return {_mm256_add_pd(acc.v, _mm256_mul_pd(a.v, b.v))};
   }
-  static simd_batch accumulate_skip_zero(const simd_batch& aik, const simd_batch& b,
-                                         const simd_batch& acc) {
-    const __m256d cand = _mm256_add_pd(acc.v, _mm256_mul_pd(aik.v, b.v));
-    const __m256d is_zero = _mm256_cmp_pd(aik.v, _mm256_setzero_pd(), _CMP_EQ_OQ);
-    return {_mm256_blendv_pd(cand, acc.v, is_zero)};
-  }
   static simd_batch sqrt(const simd_batch& x) { return {_mm256_sqrt_pd(x.v)}; }
 
-  double extract(std::size_t i) const {
-    alignas(32) double tmp[4];
-    _mm256_store_pd(tmp, v);
-    return tmp[i];
-  }
 };
 
 #elif !defined(CPS_BATCH_FORCE_SCALAR) && defined(__ARM_NEON)
@@ -229,19 +185,8 @@ struct simd_batch<double, 2> {
     // scalar kernels under -ffp-contract=off.
     return {vaddq_f64(acc.v, vmulq_f64(a.v, b.v))};
   }
-  static simd_batch accumulate_skip_zero(const simd_batch& aik, const simd_batch& b,
-                                         const simd_batch& acc) {
-    const float64x2_t cand = vaddq_f64(acc.v, vmulq_f64(aik.v, b.v));
-    const uint64x2_t is_zero = vceqq_f64(aik.v, vdupq_n_f64(0.0));
-    return {vbslq_f64(is_zero, acc.v, cand)};
-  }
   static simd_batch sqrt(const simd_batch& x) { return {vsqrtq_f64(x.v)}; }
 
-  double extract(std::size_t i) const {
-    double tmp[2];
-    vst1q_f64(tmp, v);
-    return tmp[i];
-  }
 };
 
 #else
@@ -254,90 +199,11 @@ inline constexpr const char* kSimdIsaName = "scalar";
 /// Active ISA of this build, for bench contexts and the cps_run banner.
 inline const char* simd_isa_name() { return kSimdIsaName; }
 
-/// SoA batch of W same-shaped matrices, element-major and lane-interleaved:
-/// entry (r, c) of lane L lives at data()[(r * cols + c) * W + L], so one
-/// unaligned W-load at element index e = r * cols + c touches the same
-/// entry of every lane at once.  Storage is a std::vector reused across
-/// resize() calls (shrinking or re-shaping within capacity never
-/// reallocates), which is what keeps the batched per-step loops
-/// allocation-free once a workspace is warm.
-template <std::size_t W>
-class BatchMatrix {
- public:
-  static constexpr std::size_t kWidth = W;
-
-  BatchMatrix() = default;
-  BatchMatrix(std::size_t rows, std::size_t cols) { resize(rows, cols); }
-
-  std::size_t rows() const { return rows_; }
-  std::size_t cols() const { return cols_; }
-  /// rows * cols — the per-lane element count, NOT the storage length.
-  std::size_t element_count() const { return rows_ * cols_; }
-
-  /// Re-shape to rows x cols; contents are unspecified afterwards (the
-  /// kernels fully overwrite their outputs, mirroring the scalar reset()).
-  void resize(std::size_t rows, std::size_t cols) {
-    rows_ = rows;
-    cols_ = cols;
-    data_.resize(rows * cols * W);
-  }
-
-  /// Copy a scalar matrix into lane L (shape must match).
-  void load_lane(std::size_t lane, const Matrix& m) {
-    CPS_ENSURE(m.rows() == rows_ && m.cols() == cols_, "BatchMatrix: lane shape mismatch");
-    const double* src = m.data();
-    const std::size_t n = element_count();
-    for (std::size_t e = 0; e < n; ++e) data_[e * W + lane] = src[e];
-  }
-
-  /// Copy lane L out into a scalar matrix (resized as needed).
-  void store_lane(std::size_t lane, Matrix& m) const {
-    if (m.rows() != rows_ || m.cols() != cols_) m = Matrix(rows_, cols_);
-    double* dst = m.data();
-    const std::size_t n = element_count();
-    for (std::size_t e = 0; e < n; ++e) dst[e] = data_[e * W + lane];
-  }
-
-  /// Copy every entry of lane `from` of `src` into lane `to` of *this
-  /// (equal shapes required) — the per-lane splice the masked squaring
-  /// rounds of the batched expm use.
-  void copy_lane_from(const BatchMatrix& src, std::size_t from, std::size_t to) {
-    CPS_ENSURE(src.rows_ == rows_ && src.cols_ == cols_, "BatchMatrix: lane shape mismatch");
-    const std::size_t n = element_count();
-    for (std::size_t e = 0; e < n; ++e) data_[e * W + to] = src.data_[e * W + from];
-  }
-
-  /// Fill every lane with the same scalar matrix.
-  void broadcast(const Matrix& m) {
-    resize(m.rows(), m.cols());
-    const double* src = m.data();
-    const std::size_t n = element_count();
-    for (std::size_t e = 0; e < n; ++e)
-      for (std::size_t l = 0; l < W; ++l) data_[e * W + l] = src[e];
-  }
-
-  /// Exchange payloads (never allocates), so batched loops can
-  /// double-buffer exactly like the scalar multiply_into + swap idiom.
-  void swap(BatchMatrix& other) noexcept {
-    std::swap(rows_, other.rows_);
-    std::swap(cols_, other.cols_);
-    data_.swap(other.data_);
-  }
-
-  double* data() { return data_.data(); }
-  const double* data() const { return data_.data(); }
-  /// Pointer to the W lanes of element index e (= r * cols + c).
-  double* at(std::size_t e) { return data_.data() + e * W; }
-  const double* at(std::size_t e) const { return data_.data() + e * W; }
-
- private:
-  std::size_t rows_ = 0;
-  std::size_t cols_ = 0;
-  std::vector<double> data_;
-};
-
-/// SoA batch of W equally-sized vectors, lane-interleaved like BatchMatrix:
-/// component i of lane L lives at data()[i * W + L].
+/// SoA batch of W equally-sized vectors, element-major and
+/// lane-interleaved: component i of lane L lives at data()[i * W + L], so
+/// one unaligned W-load at index i touches the same component of every
+/// lane at once.  Storage is a std::vector reused across resize() calls,
+/// which keeps the batched per-step loops allocation-free once warm.
 template <std::size_t W>
 class BatchVector {
  public:

@@ -106,12 +106,9 @@ class FixtureHandle;
 /// codec-less requests) behaviour is exactly the PR-2 single-level
 /// cache.
 ///
-/// API: FixtureHandle<T> (below) is the single entry point — it binds
-/// the key (content-addressed FixtureKey or recipe-name string) and the
-/// optional codec once, and get() runs the lookup.  The get_or_compute
-/// overloads are retained as thin shims over FixtureHandle for existing
-/// call sites; both spellings hit the same implementation path, same
-/// wire formats, same digests.
+/// API: FixtureHandle<T> (below) is the only entry point — it binds the
+/// key (content-addressed FixtureKey or recipe-name string) and the
+/// optional codec once, and get() runs the lookup.
 class FixtureCache {
  public:
   /// The singleton shared by every experiment in the process.
@@ -124,31 +121,6 @@ class FixtureCache {
     std::size_t misses = 0;   ///< requests that computed the fixture
     std::size_t entries = 0;  ///< fixtures currently stored
   };
-
-  // get_or_compute shims (defined after FixtureHandle below): each one
-  // forwards to FixtureHandle<T>{key[, codec]}.get(compute, *this).
-
-  /// Look up `key`; on a miss invoke `compute` (a callable returning T by
-  /// value) and store the result.  Throws cps::Error when the same key was
-  /// populated with a different type, or when a digest collision is
-  /// detected (stored key material differs).
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const FixtureKey& key, Fn&& compute);
-
-  /// String-keyed shim for nullary fixtures whose content is the
-  /// (versioned) recipe name itself.
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const std::string& key, Fn&& compute);
-
-  /// Codec-carrying shims: same compute-once semantics, plus the
-  /// on-disk layer when a store is attached (disk hit -> decode; miss ->
-  /// compute + persist).  Bit-identical results either way.
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const FixtureKey& key, const FixtureCodec<T>& codec,
-                                          Fn&& compute);
-  template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute(const std::string& key, const FixtureCodec<T>& codec,
-                                          Fn&& compute);
 
   /// Attach (or detach, with nullptr) the persistent second level.  Set
   /// once at process start — cps_run wires --fixture-store here before
@@ -196,9 +168,13 @@ class FixtureCache {
     };
   }
 
+  /// Look up `key`; on a miss invoke `compute` (a callable returning T by
+  /// value) and store the result.  Throws cps::Error when the same key was
+  /// populated with a different type, or when a digest collision is
+  /// detected (stored key material differs).
   template <typename T, typename Fn>
-  std::shared_ptr<const T> get_or_compute_impl(const std::string& key,
-                                               const std::string& material, Fn&& compute) {
+  std::shared_ptr<const T> lookup(const std::string& key, const std::string& material,
+                                  Fn&& compute) {
     std::promise<std::shared_ptr<const void>> promise;
     std::shared_future<std::shared_ptr<const void>> future;
     bool owner = false;
@@ -262,10 +238,9 @@ class FixtureCache {
 
 /// The single fixture entry point: one handle binds WHAT identifies a
 /// fixture (key + material) and HOW it persists (optional codec); get()
-/// runs the two-level lookup.  Replaces the former 2x2 overload grid of
-/// FixtureCache::get_or_compute — every combination is now one
-/// constructor choice plus an optional with_codec(), and every lookup
-/// funnels through the same implementation:
+/// runs the two-level lookup.  Every combination is one constructor
+/// choice plus an optional with_codec(), and every lookup funnels through
+/// the same implementation:
 ///
 ///   auto fleet = FixtureHandle<Fleet>(key)         // content-addressed
 ///                    .with_codec(fleet_codec())    // optional disk layer
@@ -301,10 +276,10 @@ class FixtureHandle {
   std::shared_ptr<const T> get(Fn&& compute,
                                FixtureCache& cache = FixtureCache::instance()) const {
     if (has_codec_)
-      return cache.get_or_compute_impl<T>(
+      return cache.lookup<T>(
           key_, material_,
           cache.stored_compute<T>(key_, material_, codec_, std::forward<Fn>(compute)));
-    return cache.get_or_compute_impl<T>(key_, material_, std::forward<Fn>(compute));
+    return cache.lookup<T>(key_, material_, std::forward<Fn>(compute));
   }
 
   /// The rendered cache key ("<domain>/<16-hex>" or the recipe name).
@@ -316,32 +291,5 @@ class FixtureHandle {
   FixtureCodec<T> codec_;
   bool has_codec_ = false;
 };
-
-// --- get_or_compute shims -------------------------------------------------
-// Kept for existing call sites; byte-identical behaviour to the handle.
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const FixtureKey& key, Fn&& compute) {
-  return FixtureHandle<T>(key).get(std::forward<Fn>(compute), *this);
-}
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const std::string& key, Fn&& compute) {
-  return FixtureHandle<T>(key).get(std::forward<Fn>(compute), *this);
-}
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const FixtureKey& key,
-                                                      const FixtureCodec<T>& codec,
-                                                      Fn&& compute) {
-  return FixtureHandle<T>(key).with_codec(codec).get(std::forward<Fn>(compute), *this);
-}
-
-template <typename T, typename Fn>
-std::shared_ptr<const T> FixtureCache::get_or_compute(const std::string& key,
-                                                      const FixtureCodec<T>& codec,
-                                                      Fn&& compute) {
-  return FixtureHandle<T>(key).with_codec(codec).get(std::forward<Fn>(compute), *this);
-}
 
 }  // namespace cps::runtime

@@ -18,8 +18,8 @@
 //
 // Per-worker workspaces: run_with_workspace() threads one reusable
 // workspace object through every index of a chunk, so sweep bodies can
-// keep scratch matrices/vectors (sim::DwellWaitWorkspace,
-// sim::JitterWorkspace, analysis::TransientWorkspace, ...) across grid
+// keep scratch matrices/vectors (e.g. sim::JitterWorkspace in
+// ablation_jitter, or an experiment's own scratch struct) across grid
 // points instead of reallocating them per index.  The body must fully
 // overwrite whatever workspace state it reads — the workspace is an
 // allocation cache, never a data channel between indices.
@@ -42,21 +42,6 @@ namespace cps::runtime {
 /// splitmix64-style mix of (seed, index): statistically independent,
 /// scheduling-independent per-task seeds.
 std::uint64_t task_seed(std::uint64_t base_seed, std::uint64_t index);
-
-/// Contiguous block of global indices handed to a span body
-/// (SweepRunner::run_span_with_workspace), with the per-index Rng factory
-/// of the determinism contract: randomness for index i must come from
-/// rng_at(i) only, never from span-level state, so the per-index results
-/// cannot depend on where the span boundaries fall.
-struct IndexSpan {
-  std::size_t begin = 0;
-  std::size_t end = 0;
-  std::uint64_t base_seed = 0;
-
-  std::size_t size() const { return end - begin; }
-  /// The Rng index i (in [begin, end)) must draw from.
-  Rng rng_at(std::size_t index) const { return Rng(task_seed(base_seed, index)); }
-};
 
 /// Fan-out knobs of one sweep.
 struct SweepOptions {
@@ -168,70 +153,6 @@ class SweepRunner {
     } catch (...) {
       // Fail fast: drop the queued chunks so the pool's destructor joins
       // after the in-flight ones instead of draining the whole campaign.
-      pool.cancel_pending();
-      throw;
-    }
-    return results;
-  }
-
-  /// Batch-aware chunk iteration: where run_with_workspace calls fn once
-  /// per index, this hands fn a whole CONTIGUOUS IndexSpan (plus the
-  /// per-chunk workspace) and expects exactly span.size() results back,
-  /// result j belonging to global index span.begin + j.  Span bodies can
-  /// gather several consecutive grid points into one SoA batch
-  /// (linalg/batch_kernels.hpp) and advance them per instruction stream.
-  ///
-  /// Determinism obligation ON THE BODY: span boundaries move with jobs,
-  /// chunk size, and shard partition, so the result for an index must not
-  /// depend on which span evaluated it — batched kernels satisfy this by
-  /// construction because every lane is bit-identical to the scalar path.
-  /// Randomness must come from span.rng_at(index) only.  jobs <= 1 runs
-  /// the whole shard as one span on the calling thread.
-  template <typename Workspace, typename Fn>
-  auto run_span_with_workspace(std::size_t count, Fn fn)
-      -> decltype(fn(std::declval<const IndexSpan&>(), std::declval<Workspace&>())) {
-    using Block = decltype(fn(std::declval<const IndexSpan&>(), std::declval<Workspace&>()));
-    using Result = typename Block::value_type;
-    const ShardRange shard = range(count);
-    std::vector<Result> results;
-    results.reserve(shard.size());
-    if (shard.size() == 0) return results;
-
-    const std::uint64_t base = options_.seed;
-    const auto run_span = [&fn, base](std::size_t lo, std::size_t hi, Workspace& workspace) {
-      const IndexSpan span{lo, hi, base};
-      Block block = fn(span, workspace);
-      CPS_ENSURE(block.size() == span.size(),
-                 "run_span_with_workspace: body must return one result per span index");
-      return block;
-    };
-    if (options_.jobs <= 1) {
-      Workspace workspace{};
-      return run_span(shard.begin, shard.end, workspace);
-    }
-
-    const std::size_t workers =
-        std::min(static_cast<std::size_t>(options_.jobs), shard.size());
-    const std::size_t chunk =
-        options_.chunk != 0
-            ? options_.chunk
-            : std::max<std::size_t>(1, shard.size() / (workers * kChunksPerWorker));
-    ThreadPool pool(workers);
-    std::vector<std::future<Block>> futures;
-    futures.reserve((shard.size() + chunk - 1) / chunk);
-    for (std::size_t lo = shard.begin; lo < shard.end; lo += chunk) {
-      const std::size_t hi = std::min(lo + chunk, shard.end);
-      futures.push_back(pool.submit([run_span, lo, hi]() {
-        Workspace workspace{};
-        return run_span(lo, hi, workspace);
-      }));
-    }
-    try {
-      for (auto& future : futures) {
-        auto block = future.get();
-        for (auto& value : block) results.push_back(std::move(value));
-      }
-    } catch (...) {
       pool.cancel_pending();
       throw;
     }

@@ -1,7 +1,6 @@
 #include "sim/dwell_wait.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <utility>
 
 #include "util/error.hpp"
@@ -57,14 +56,6 @@ bool DwellWaitCurve::is_non_monotonic() const {
 DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
                                         const linalg::Vector& x0, double sampling_period,
                                         const DwellWaitSweepOptions& opts) {
-  DwellWaitWorkspace workspace;
-  return measure_dwell_wait_curve(sys, x0, sampling_period, opts, workspace);
-}
-
-DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
-                                        const linalg::Vector& x0, double sampling_period,
-                                        const DwellWaitSweepOptions& opts,
-                                        DwellWaitWorkspace& workspace) {
   CPS_ENSURE(sampling_period > 0.0, "measure_dwell_wait_curve: h must be positive");
   CPS_ENSURE(x0.size() == sys.dimension(), "measure_dwell_wait_curve: x0 dimension mismatch");
 
@@ -78,21 +69,20 @@ DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
   // Incremental batched sweep: the ET prefix state A1^w x0 is carried from
   // grid point to grid point (one scalar matvec per point instead of w),
   // and consecutive wait points are gathered linalg::kSimdWidth at a time
-  // into the workspace's SoA lane buffers, whose TT settles then advance
-  // in lockstep (detail::settle_batch) with per-lane early exit.  Each
-  // lane runs the exact floating-point operations of the scalar settle in
-  // the same order, so the curve is bit-identical to
-  // measure_dwell_wait_curve_reference — and independent of the group
-  // boundaries — for every input.  Ragged tails and single-point sweeps
-  // take the scalar settle (the odd-shape fallback).
+  // into SoA lane buffers, whose TT settles then advance in lockstep
+  // (detail::settle_batch) with per-lane early exit.  Each lane runs the
+  // exact floating-point operations of the scalar settle in the same
+  // order, so the curve is bit-identical to the frozen naive sweep — and
+  // independent of the group boundaries — for every input.  Ragged tails
+  // and single-point sweeps take the scalar settle (the odd-shape
+  // fallback).
   constexpr std::size_t W = linalg::kSimdWidth;
-  std::vector<double>& et_state = workspace.et_state;  // A1^w x0 for the current w
-  std::vector<double>& tt_state = workspace.tt_state;  // settle scratch: clobbered per point
-  std::vector<double>& scratch = workspace.scratch;
+  std::vector<double> et_state = x0.to_std_vector();  // A1^w x0 for the current w
+  std::vector<double> tt_state;                       // settle scratch: clobbered per point
+  std::vector<double> scratch;
   const std::size_t dim = sys.dimension();
-  et_state.assign(x0.data(), x0.data() + x0.size());
-  workspace.batch_state.resize(dim);
-  workspace.batch_scratch.resize(dim);
+  linalg::BatchVec batch_state(dim);
+  linalg::BatchVec batch_scratch(dim);
 
   std::vector<DwellWaitPoint> points;
   points.reserve(sweep_end + 1);
@@ -119,13 +109,13 @@ DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
       // Lane l holds A1^{w+l} x0: gather the current prefix state, then
       // advance it scalar — the prefix chain stays the carried recurrence.
       for (std::size_t l = 0; l < group; ++l) {
-        workspace.batch_state.load_lane(l, et_state.data());
+        batch_state.load_lane(l, et_state.data());
         if (w + l < sweep_end) {
           detail::apply_into(sys.a_et(), et_state, scratch);
           et_state.swap(scratch);
         }
       }
-      detail::settle_batch(sys.a_tt(), workspace.batch_state, workspace.batch_scratch,
+      detail::settle_batch(sys.a_tt(), batch_state, batch_scratch,
                            sys.norm_dim(), opts.settling, group, dwells);
     }
     for (std::size_t l = 0; l < group; ++l) {
@@ -134,67 +124,6 @@ DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
       push_point(w + l, *dwells[l]);
     }
     w += group;
-  }
-  return DwellWaitCurve(sampling_period, std::move(points));
-}
-
-namespace {
-
-/// Verbatim copy of the seed's settle loop (linalg::Vector arithmetic,
-/// one allocation per step) — the baseline the golden tests compare
-/// against.
-std::optional<std::size_t> settle_under_reference(const linalg::Matrix& a, linalg::Vector x,
-                                                  std::size_t norm_dim,
-                                                  const SettlingOptions& opts) {
-  const double stop_level = opts.threshold * opts.decay_margin;
-  std::size_t last_violation = 0;
-  bool ever_violated = false;
-  for (std::size_t k = 0; k <= opts.max_steps; ++k) {
-    double acc = 0.0;
-    for (std::size_t i = 0; i < norm_dim; ++i) acc += x[i] * x[i];
-    const double norm = std::sqrt(acc);
-    if (!std::isfinite(norm)) return std::nullopt;
-    if (norm > opts.threshold) {
-      last_violation = k;
-      ever_violated = true;
-    } else if (norm <= stop_level) {
-      return ever_violated ? last_violation + 1 : 0;
-    }
-    x = a * x;
-  }
-  return std::nullopt;
-}
-
-}  // namespace
-
-DwellWaitCurve measure_dwell_wait_curve_reference(const SwitchedLinearSystem& sys,
-                                                  const linalg::Vector& x0,
-                                                  double sampling_period,
-                                                  const DwellWaitSweepOptions& opts) {
-  CPS_ENSURE(sampling_period > 0.0, "measure_dwell_wait_curve: h must be positive");
-  CPS_ENSURE(x0.size() == sys.dimension(), "measure_dwell_wait_curve: x0 dimension mismatch");
-
-  const auto et_settle = settle_under_reference(sys.a_et(), x0, sys.norm_dim(), opts.settling);
-  if (!et_settle.has_value())
-    throw NumericalError("dwell/wait sweep: ET loop did not settle within the cap");
-  const std::size_t sweep_end = std::min(*et_settle, opts.max_wait_steps);
-
-  std::vector<DwellWaitPoint> points;
-  points.reserve(sweep_end + 1);
-  for (std::size_t w = 0; w <= sweep_end; ++w) {
-    // O(w) prefix re-simulation per grid point: the cost the incremental
-    // kernel removes.
-    linalg::Vector x = x0;
-    for (std::size_t k = 0; k < w; ++k) x = sys.step(x, Mode::kEventTriggered);
-    const auto dwell = settle_under_reference(sys.a_tt(), x, sys.norm_dim(), opts.settling);
-    if (!dwell.has_value())
-      throw NumericalError("dwell/wait sweep: TT loop did not settle within the cap");
-    DwellWaitPoint p;
-    p.wait_steps = w;
-    p.dwell_steps = *dwell;
-    p.wait_s = static_cast<double>(w) * sampling_period;
-    p.dwell_s = static_cast<double>(*dwell) * sampling_period;
-    points.push_back(p);
   }
   return DwellWaitCurve(sampling_period, std::move(points));
 }

@@ -67,22 +67,6 @@ struct DwellWaitSweepOptions {
   std::size_t max_wait_steps = 100000;
 };
 
-/// Reusable scratch of one dwell/wait sweep: the carried ET prefix
-/// state, the per-point TT settle buffer and the shared matvec scratch,
-/// plus the SoA lane buffers of the batched TT settle (linalg::kSimdWidth
-/// wait points per lockstep group).  A SweepRunner worker keeps one of
-/// these across every curve it measures (runtime/sweep_runner.hpp,
-/// run_with_workspace), so back-to-back sweeps stop paying the per-call
-/// allocations.  All contents are fully overwritten per call — results
-/// never depend on what a previous sweep left behind.
-struct DwellWaitWorkspace {
-  std::vector<double> et_state;
-  std::vector<double> tt_state;
-  std::vector<double> scratch;
-  linalg::BatchVec batch_state;
-  linalg::BatchVec batch_scratch;
-};
-
 /// Run the full sweep.  Throws NumericalError when either pure-mode loop
 /// fails to settle within the caps (e.g. unstable configurations).
 ///
@@ -90,28 +74,11 @@ struct DwellWaitWorkspace {
 /// from the state at wait w - 1 (instead of re-simulating the w-step
 /// prefix from x0 per grid point), and the per-point TT settling runs on
 /// reusable buffers.  Both reuse the exact floating-point operation order
-/// of the naive kernel, so the curve is bit-identical to
-/// measure_dwell_wait_curve_reference for every input.
+/// of the naive kernel, so the curve is bit-identical to the frozen
+/// pre-optimization sweep (tests/reference/, the golden baseline of
+/// tests/analysis_golden_test.cpp) for every input.
 DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
                                         const linalg::Vector& x0, double sampling_period,
                                         const DwellWaitSweepOptions& opts);
-
-/// Workspace-threading overload for sweep bodies that measure many
-/// curves: identical arithmetic (bit-identical curve), scratch reused
-/// from `workspace` instead of allocated per call.
-DwellWaitCurve measure_dwell_wait_curve(const SwitchedLinearSystem& sys,
-                                        const linalg::Vector& x0, double sampling_period,
-                                        const DwellWaitSweepOptions& opts,
-                                        DwellWaitWorkspace& workspace);
-
-/// The pre-optimization sweep kernel, frozen verbatim: re-simulates the
-/// ET prefix from x0 for every grid point through the naive vector code
-/// path.  Kept as the golden baseline for the bit-identity regression
-/// tests (tests/analysis_golden_test.cpp) and the speedup benches
-/// (bench/fig3_dwell_wait.cpp); not used by any experiment.
-DwellWaitCurve measure_dwell_wait_curve_reference(const SwitchedLinearSystem& sys,
-                                                  const linalg::Vector& x0,
-                                                  double sampling_period,
-                                                  const DwellWaitSweepOptions& opts);
 
 }  // namespace cps::sim

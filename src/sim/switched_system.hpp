@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "linalg/matrix.hpp"
-#include "linalg/simd_batch.hpp"
 #include "linalg/vector.hpp"
 
 namespace cps::sim {
@@ -48,31 +47,9 @@ class Trajectory {
   /// Largest threshold norm along the trajectory.
   double peak_norm() const;
 
-  /// Destructively moves the sample storage out (rvalue only) so a batch
-  /// workspace can recycle its capacity; the trajectory is left empty.
-  std::vector<Sample> release_samples() && { return std::move(samples_); }
-
  private:
   double h_;
   std::vector<Sample> samples_;
-};
-
-/// Reusable scratch for simulate_batch: the SoA state pair, the
-/// de-interleave buffer, and a pool of recycled per-lane sample vectors.
-/// A sweep loop that gives consumed trajectories back via recycle() keeps
-/// the dominant allocation — count vectors of total_steps+1 Samples per
-/// call — at zero once warm.
-struct TrajectoryBatchWorkspace {
-  linalg::BatchVector<linalg::kSimdWidth> state;
-  linalg::BatchVector<linalg::kSimdWidth> scratch;
-  std::vector<double> transposed;
-  std::vector<std::vector<Sample>> sample_pool;
-
-  /// Take back a consumed trajectory's sample storage for the next call.
-  void recycle(Trajectory&& used) {
-    sample_pool.push_back(std::move(used).release_samples());
-    sample_pool.back().clear();
-  }
 };
 
 /// The switched pair (A1, A2) with the threshold-norm restriction.
@@ -100,34 +77,6 @@ class SwitchedLinearSystem {
   /// Allocation-free per step (in-place matvec, double-buffered state).
   Trajectory simulate(const linalg::Vector& x0, std::size_t switch_step,
                       std::size_t total_steps, double sampling_period) const;
-
-  /// Frozen pre-optimization copy of simulate() (one Vector temporary per
-  /// step); bit-identical to simulate() — the golden baseline of
-  /// tests/sim_golden_test.cpp.
-  Trajectory simulate_reference(const linalg::Vector& x0, std::size_t switch_step,
-                                std::size_t total_steps, double sampling_period) const;
-
-  /// Simulate `count` trajectories (1 <= count <= linalg::kSimdWidth) of
-  /// this system in SIMD lockstep: all share switch_step / total_steps /
-  /// sampling_period, lane l starts from x0s[l].  The per-step update is
-  /// the batched shared-matrix matvec and a W-wide threshold norm
-  /// (linalg/batch_kernels.hpp), each lane in the exact FP order of
-  /// simulate(), so result[l] is bit-identical to
-  /// simulate(x0s[l], switch_step, total_steps, sampling_period).
-  /// count == 1 falls back to the scalar simulate() path.
-  std::vector<Trajectory> simulate_batch(const linalg::Vector* x0s, std::size_t count,
-                                         std::size_t switch_step, std::size_t total_steps,
-                                         double sampling_period) const;
-
-  /// Workspace form of simulate_batch: identical results (bit-for-bit),
-  /// but the SoA buffers and the per-lane sample storage come from `ws` —
-  /// a loop that recycle()s consumed trajectories performs no sample
-  /// allocations once warm.  The flag-free overload above delegates here
-  /// with a cold local workspace.
-  std::vector<Trajectory> simulate_batch(const linalg::Vector* x0s, std::size_t count,
-                                         std::size_t switch_step, std::size_t total_steps,
-                                         double sampling_period,
-                                         TrajectoryBatchWorkspace& ws) const;
 
  private:
   linalg::Matrix a_et_;

@@ -1,8 +1,9 @@
 // Golden-output regression tests for the PR-2 hot-path optimizations.
 //
-// Both optimized kernels ship next to their frozen pre-optimization
-// implementations (measure_dwell_wait_curve_reference,
-// optimal_allocate_reference); these tests assert bit-identical results —
+// Both optimized kernels are checked against their frozen
+// pre-optimization implementations in tests/reference/
+// (measure_dwell_wait_curve_reference, optimal_allocate_reference); these
+// tests assert bit-identical results —
 // exact integer step counts, exact double bit patterns, exact partitions —
 // on the seed fixtures (servo motor, synthesized Table I fleet, published
 // Table I scheduling parameters) and on randomized instances.  Any
@@ -20,6 +21,8 @@
 #include "linalg/vector.hpp"
 #include "plants/servo_motor.hpp"
 #include "plants/table1.hpp"
+#include "reference/analysis_reference.hpp"
+#include "reference/sim_reference.hpp"
 #include "sim/dwell_wait.hpp"
 #include "sim/switched_system.hpp"
 #include "util/rng.hpp"

@@ -14,6 +14,7 @@
 #include "analysis/dwell_wait_model.hpp"
 #include "analysis/slot_allocation.hpp"
 #include "experiments/fixtures.hpp"
+#include "reference/analysis_reference.hpp"
 #include "util/rng.hpp"
 
 namespace {

@@ -1,7 +1,7 @@
 // Per-lane differential suite for the batched SIMD kernel layer
 // (linalg/simd_batch.hpp, linalg/batch_kernels.hpp) and the batch front
-// ends built on it (sim::detail::settle_batch, SwitchedLinearSystem::
-// simulate_batch, control::c2d_pair_batch, design_hybrid_loops_batch).
+// end built on it (sim::detail::settle_batch, which the dwell/wait sweep
+// runs).
 //
 // The layer's contract is BIT-identity per lane to the scalar kernels, so
 // every comparison here is on exact bit patterns — including NaN payloads
@@ -18,19 +18,13 @@
 #include <optional>
 #include <vector>
 
-#include "control/discretize.hpp"
-#include "control/loop_design.hpp"
-#include "control/state_space.hpp"
 #include "linalg/batch_kernels.hpp"
-#include "linalg/expm.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/simd_batch.hpp"
 #include "linalg/vector.hpp"
-#include "plants/second_order.hpp"
 #include "plants/servo_motor.hpp"
 #include "sim/settling.hpp"
-#include "sim/switched_system.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -49,13 +43,6 @@ std::uint64_t bits_of(double x) {
 
 void expect_same_bits(double a, double b, const char* what) {
   EXPECT_EQ(bits_of(a), bits_of(b)) << what << ": " << a << " vs " << b;
-}
-
-void expect_matrix_bits(const Matrix& a, const Matrix& b, const char* what) {
-  ASSERT_EQ(a.rows(), b.rows()) << what;
-  ASSERT_EQ(a.cols(), b.cols()) << what;
-  for (std::size_t i = 0; i < a.rows(); ++i)
-    for (std::size_t j = 0; j < a.cols(); ++j) expect_same_bits(a(i, j), b(i, j), what);
 }
 
 Matrix random_matrix(Rng& rng, std::size_t rows, std::size_t cols, bool sprinkle_zeros = true) {
@@ -97,31 +84,6 @@ TEST(SimdBatch, MultiplyAddUsesTwoRoundings) {
   for (std::size_t i = 0; i < W; ++i) expect_same_bits(out[i], two_rounding, "multiply_add");
 }
 
-TEST(SimdBatch, AccumulateSkipZeroMatchesScalarBranch) {
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  // Per lane: (aik, b, acc) -> aik == 0.0 ? acc : acc + aik * b, the exact
-  // scalar `if (aik == 0.0) continue;` including the cases where skipping
-  // is bit-visible: 0 * NaN (skip keeps acc finite) and -0.0 + 0.0 (skip
-  // keeps acc's -0.0).
-  struct Case {
-    double aik, b, acc;
-  };
-  const Case cases[] = {
-      {0.0, nan, 3.5},    // skip: acc survives a NaN b
-      {-0.0, 2.0, -0.0},  // -0.0 == 0.0 -> skip: acc stays -0.0
-      {nan, 2.0, 1.0},    // NaN != 0.0 -> accumulate: NaN propagates
-      {2.0, -3.0, 0.5},   // plain accumulate
-  };
-  for (const Case& c : cases) {
-    const double expected = c.aik == 0.0 ? c.acc : c.acc + c.aik * c.b;
-    double out[W];
-    DoubleBatch::accumulate_skip_zero(DoubleBatch::broadcast(c.aik), DoubleBatch::broadcast(c.b),
-                                      DoubleBatch::broadcast(c.acc))
-        .store(out);
-    for (std::size_t i = 0; i < W; ++i) expect_same_bits(out[i], expected, "skip_zero");
-  }
-}
-
 TEST(SimdBatch, SqrtIsCorrectlyRoundedPerLane) {
   Rng rng(0x51237ULL);
   for (int trial = 0; trial < 64; ++trial) {
@@ -132,105 +94,8 @@ TEST(SimdBatch, SqrtIsCorrectlyRoundedPerLane) {
   }
 }
 
-TEST(SimdBatch, BatchMatrixLanesAreInterleaved) {
-  BatchMat m(2, 3);
-  Matrix a(2, 3);
-  for (std::size_t e = 0; e < 6; ++e) a.data()[e] = static_cast<double>(e);
-  m.load_lane(1, a);
-  // Element (r, c) of lane L sits at data()[(r * cols + c) * W + L].
-  for (std::size_t e = 0; e < 6; ++e)
-    EXPECT_EQ(m.data()[e * W + 1], static_cast<double>(e));
-  Matrix back;
-  m.store_lane(1, back);
-  expect_matrix_bits(back, a, "lane roundtrip");
-}
-
 // ---------------------------------------------------------------------------
-// Batched elementwise/product kernels vs their scalar counterparts.
-
-TEST(BatchKernels, MultiplyMatchesScalarPerLane) {
-  Rng rng(0xBA7C4ULL);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
-    const std::size_t k = 1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
-    std::vector<Matrix> as, bs;
-    BatchMat ba(m, k), bb(k, n), bout;
-    for (std::size_t l = 0; l < W; ++l) {
-      as.push_back(random_matrix(rng, m, k));
-      bs.push_back(random_matrix(rng, k, n));
-      ba.load_lane(l, as[l]);
-      bb.load_lane(l, bs[l]);
-    }
-    batch_multiply_into(ba, bb, bout);
-    for (std::size_t l = 0; l < W; ++l) {
-      Matrix expected, got;
-      multiply_into(as[l], bs[l], expected);
-      bout.store_lane(l, got);
-      expect_matrix_bits(got, expected, "batch_multiply_into");
-    }
-  }
-}
-
-TEST(BatchKernels, MultiplyPropagatesNaNAndSignedZeroLikeTheScalarSkip) {
-  // One lane carries a NaN row and a -0.0 that only survive in the output
-  // iff the zero-skip is replicated exactly; the other lanes stay benign,
-  // proving the blend never leaks across lanes.
-  const double nan = std::numeric_limits<double>::quiet_NaN();
-  Matrix a0(2, 2);
-  a0(0, 0) = 0.0;  a0(0, 1) = nan;   // skip then accumulate NaN
-  a0(1, 0) = -0.0; a0(1, 1) = 0.0;   // all skipped: output row stays +0.0
-  Matrix b0(2, 2);
-  b0(0, 0) = 1.0; b0(0, 1) = -0.0;
-  b0(1, 0) = 2.0; b0(1, 1) = 3.0;
-  Rng rng(0x5EEDULL);
-  std::vector<Matrix> as{a0}, bs{b0};
-  BatchMat ba(2, 2), bb(2, 2), bout;
-  for (std::size_t l = 1; l < W; ++l) {
-    as.push_back(random_matrix(rng, 2, 2));
-    bs.push_back(random_matrix(rng, 2, 2));
-  }
-  for (std::size_t l = 0; l < W; ++l) {
-    ba.load_lane(l, as[l]);
-    bb.load_lane(l, bs[l]);
-  }
-  batch_multiply_into(ba, bb, bout);
-  for (std::size_t l = 0; l < W; ++l) {
-    Matrix expected, got;
-    multiply_into(as[l], bs[l], expected);
-    bout.store_lane(l, got);
-    expect_matrix_bits(got, expected, "NaN/signed-zero lane");
-  }
-}
-
-TEST(BatchKernels, ApplyMatchesScalarPerLane) {
-  Rng rng(0xAB71EULL);
-  for (int trial = 0; trial < 60; ++trial) {
-    const std::size_t m = 1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
-    std::vector<Matrix> as;
-    std::vector<Vector> xs;
-    BatchMat ba(m, n);
-    BatchVec bx(n), bout;
-    for (std::size_t l = 0; l < W; ++l) {
-      as.push_back(random_matrix(rng, m, n));
-      Vector x(n);
-      for (std::size_t i = 0; i < n; ++i) x[i] = rng.uniform(-2.0, 2.0);
-      xs.push_back(x);
-      ba.load_lane(l, as[l]);
-      bx.load_lane(l, xs[l].data());
-    }
-    bout.resize(m);
-    batch_apply_into(ba, bx, bout);
-    for (std::size_t l = 0; l < W; ++l) {
-      Vector expected, got(m);
-      apply_into(as[l], xs[l], expected);
-      bout.store_lane(l, got.data());
-      for (std::size_t i = 0; i < m; ++i)
-        expect_same_bits(got[i], expected[i], "batch_apply_into");
-    }
-  }
-}
+// The batched shared-matrix matvec vs its scalar counterpart.
 
 TEST(BatchKernels, ApplySharedMatchesScalarPerLane) {
   Rng rng(0x54A3EDULL);
@@ -256,144 +121,16 @@ TEST(BatchKernels, ApplySharedMatchesScalarPerLane) {
   }
 }
 
-TEST(BatchKernels, AddScaledAndIdentityAndScaleLanesMatchScalar) {
-  Rng rng(0xADD5CULL);
-  for (int trial = 0; trial < 40; ++trial) {
-    const std::size_t n = 1 + static_cast<std::size_t>(rng.uniform_int(0, 11));
-    const double s = rng.uniform(-3.0, 3.0);
-    std::vector<Matrix> accs, xs;
-    double lane_scale[W];
-    BatchMat bacc(n, n), bx(n, n);
-    for (std::size_t l = 0; l < W; ++l) {
-      accs.push_back(random_matrix(rng, n, n));
-      xs.push_back(random_matrix(rng, n, n));
-      lane_scale[l] = rng.uniform(-2.0, 2.0);
-      bacc.load_lane(l, accs[l]);
-      bx.load_lane(l, xs[l]);
-    }
-    batch_add_scaled_into(bacc, bx, s);
-    batch_add_identity_into(bacc);
-    batch_scale_lanes(bacc, lane_scale);
-    for (std::size_t l = 0; l < W; ++l) {
-      Matrix expected = accs[l];
-      add_scaled_into(expected, xs[l], s);
-      add_identity_into(expected);
-      expected *= lane_scale[l];
-      Matrix got;
-      bacc.store_lane(l, got);
-      expect_matrix_bits(got, expected, "add_scaled/identity/scale_lanes");
-    }
-  }
-}
-
-TEST(BatchKernels, MultiplyRejectsAliasAndMismatch) {
-  BatchMat a(2, 2), b(2, 3), out;
-  EXPECT_THROW(batch_multiply_into(a, b, a), InvalidArgument);
-  BatchMat wrong(3, 2);
-  EXPECT_THROW(batch_multiply_into(a, wrong, out), DimensionMismatch);
+TEST(BatchKernels, ApplySharedRejectsAliasAndMismatch) {
+  const Matrix a(2, 2, 1.0);
+  BatchVec x(2), out;
+  EXPECT_THROW(batch_apply_shared_into(a, x, x), InvalidArgument);
+  BatchVec wrong(3);
+  EXPECT_THROW(batch_apply_shared_into(a, wrong, out), DimensionMismatch);
 }
 
 // ---------------------------------------------------------------------------
-// Batched expm / ZOH / c2d vs the scalar pipeline.
-
-TEST(BatchKernels, ExpmMatchesScalarPerLane) {
-  Rng rng(0xE4931ULL);
-  for (std::size_t n = 1; n <= 6; ++n) {
-    for (std::size_t count = 1; count <= W; ++count) {  // ragged tails
-      std::vector<Matrix> inputs;
-      std::vector<const Matrix*> ptrs;
-      for (std::size_t l = 0; l < count; ++l) {
-        Matrix m = random_matrix(rng, n, n, false);
-        // Spread the norms so the per-lane scaling exponents s differ —
-        // the lane-masked squaring rounds are what is under test.
-        m *= std::pow(4.0, static_cast<double>(l % 4));
-        inputs.push_back(std::move(m));
-      }
-      for (const Matrix& m : inputs) ptrs.push_back(&m);
-      std::vector<Matrix> out(count);
-      expm_batch(ptrs.data(), count, out.data());
-      for (std::size_t l = 0; l < count; ++l)
-        expect_matrix_bits(out[l], expm(inputs[l]), "expm_batch");
-    }
-  }
-}
-
-TEST(BatchKernels, ExpmBatchThrowsOnNonFiniteLikeScalar) {
-  Matrix bad(2, 2);
-  bad(0, 0) = std::numeric_limits<double>::infinity();
-  const Matrix good = Matrix::identity(2);
-  const Matrix* ptrs[2] = {&good, &bad};
-  std::vector<Matrix> out(2);
-  EXPECT_THROW(expm_batch(ptrs, std::min<std::size_t>(2, W), out.data()), NumericalError);
-}
-
-TEST(BatchKernels, ZohIntegralsMatchesScalarPerLane) {
-  Rng rng(0x20431ULL);
-  for (std::size_t n = 1; n <= 4; ++n) {
-    const std::size_t m = 1 + (n % 2);
-    for (std::size_t count = 1; count <= W; ++count) {
-      std::vector<Matrix> as, bs;
-      std::vector<const Matrix*> ap, bp;
-      std::vector<double> ts;
-      for (std::size_t l = 0; l < count; ++l) {
-        as.push_back(random_matrix(rng, n, n, false));
-        bs.push_back(random_matrix(rng, n, m, false));
-        // Lane 1 rides along with t = 0 (the exact {I, 0} shortcut).
-        ts.push_back(l == 1 ? 0.0 : rng.uniform(0.005, 0.1));
-      }
-      for (std::size_t l = 0; l < count; ++l) {
-        ap.push_back(&as[l]);
-        bp.push_back(&bs[l]);
-      }
-      std::vector<ZohPair> out(count);
-      zoh_integrals_batch(ap.data(), bp.data(), ts.data(), count, out.data());
-      for (std::size_t l = 0; l < count; ++l) {
-        const ZohPair expected = zoh_integrals(as[l], bs[l], ts[l]);
-        expect_matrix_bits(out[l].phi, expected.phi, "zoh phi");
-        expect_matrix_bits(out[l].gamma, expected.gamma, "zoh gamma");
-      }
-    }
-  }
-}
-
-void expect_discrete_bits(const control::DiscreteSystem& got,
-                          const control::DiscreteSystem& expected) {
-  expect_matrix_bits(got.phi(), expected.phi(), "phi");
-  expect_matrix_bits(got.gamma0(), expected.gamma0(), "gamma0");
-  expect_matrix_bits(got.gamma1(), expected.gamma1(), "gamma1");
-  expect_matrix_bits(got.c(), expected.c(), "c");
-  EXPECT_EQ(got.sampling_period(), expected.sampling_period());
-  EXPECT_EQ(got.delay(), expected.delay());
-}
-
-TEST(BatchKernels, C2dPairBatchMatchesScalarAcrossDelayClasses) {
-  std::vector<control::StateSpace> plants;
-  plants.push_back(plants::make_oscillator(8.0, 0.15, 1.0));
-  plants.push_back(plants::make_resonant(12.0, 0.4, 2.0));
-  plants.push_back(plants::make_oscillator(3.0, 0.7, 0.5));
-  for (std::size_t count = 1; count <= W; ++count) {
-    std::vector<const control::StateSpace*> ptrs;
-    std::vector<double> h(count), d_first(count), d_second(count);
-    for (std::size_t l = 0; l < count; ++l) {
-      ptrs.push_back(&plants[l % plants.size()]);
-      h[l] = 0.02 + 0.005 * static_cast<double>(l);
-      // Cycle through the three delay classes: d == 0, d == h, general.
-      d_first[l] = (l % 3 == 0) ? 0.0 : (l % 3 == 1 ? h[l] : 0.4 * h[l]);
-      d_second[l] = (l % 3 == 0) ? h[l] : (l % 3 == 1 ? 0.25 * h[l] : 0.0);
-    }
-    const auto batch = control::c2d_pair_batch(ptrs.data(), h.data(), d_first.data(),
-                                               d_second.data(), count);
-    ASSERT_EQ(batch.size(), count);
-    for (std::size_t l = 0; l < count; ++l) {
-      const auto scalar = control::c2d_pair(*ptrs[l], h[l], d_first[l], d_second[l]);
-      expect_discrete_bits(batch[l].first, scalar.first);
-      expect_discrete_bits(batch[l].second, scalar.second);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Batched settle / trajectory / design front ends.
+// Batched settle front end (the dwell/wait sweep's TT settles).
 
 TEST(BatchFrontEnds, SettleBatchMatchesSettleInPlacePerLane) {
   const auto design = plants::design_servo_loops();
@@ -438,116 +175,6 @@ TEST(BatchFrontEnds, SettleBatchReportsNulloptAtTheCapLikeScalar) {
   const auto expected = sim::detail::settle_in_place(a, s, sc, design.state_dim, opts);
   EXPECT_FALSE(expected.has_value());
   for (std::size_t l = 0; l < W; ++l) EXPECT_EQ(results[l], expected);
-}
-
-TEST(BatchFrontEnds, SimulateBatchMatchesSimulatePerLane) {
-  const auto design = plants::design_servo_loops();
-  const sim::SwitchedLinearSystem sys(design.a_et, design.a_tt, design.state_dim);
-  Rng rng(0x7124ECULL);
-  for (std::size_t count = 1; count <= W; ++count) {
-    std::vector<Vector> x0s;
-    for (std::size_t l = 0; l < count; ++l) {
-      Vector x(sys.dimension());
-      for (std::size_t i = 0; i < sys.dimension(); ++i) x[i] = rng.uniform(-2.0, 2.0);
-      x0s.push_back(x);
-    }
-    const auto batch = sys.simulate_batch(x0s.data(), count, 17, 60, 0.02);
-    ASSERT_EQ(batch.size(), count);
-    for (std::size_t l = 0; l < count; ++l) {
-      const auto scalar = sys.simulate(x0s[l], 17, 60, 0.02);
-      ASSERT_EQ(batch[l].length(), scalar.length());
-      EXPECT_EQ(batch[l].sampling_period(), scalar.sampling_period());
-      for (std::size_t k = 0; k < scalar.length(); ++k) {
-        const auto& bs = batch[l].at(k);
-        const auto& ss = scalar.at(k);
-        EXPECT_EQ(bs.mode, ss.mode);
-        expect_same_bits(bs.norm, ss.norm, "sample norm");
-        ASSERT_EQ(bs.state.size(), ss.state.size());
-        for (std::size_t i = 0; i < ss.state.size(); ++i)
-          expect_same_bits(bs.state[i], ss.state[i], "sample state");
-      }
-    }
-  }
-}
-
-TEST(BatchFrontEnds, SimulateBatchWorkspaceRecyclingStaysBitIdentical) {
-  // Warm workspace calls reuse recycled sample storage; results must stay
-  // bit-identical to the cold overload call after call.
-  const auto design = plants::design_servo_loops();
-  const sim::SwitchedLinearSystem sys(design.a_et, design.a_tt, design.state_dim);
-  Rng rng(0x9C1BAULL);
-  sim::TrajectoryBatchWorkspace workspace;
-  for (int round = 0; round < 3; ++round) {
-    std::vector<Vector> x0s;
-    for (std::size_t l = 0; l < W; ++l) {
-      Vector x(sys.dimension());
-      for (std::size_t i = 0; i < sys.dimension(); ++i) x[i] = rng.uniform(-2.0, 2.0);
-      x0s.push_back(x);
-    }
-    auto warm = sys.simulate_batch(x0s.data(), W, 17, 60, 0.02, workspace);
-    const auto cold = sys.simulate_batch(x0s.data(), W, 17, 60, 0.02);
-    ASSERT_EQ(warm.size(), cold.size());
-    for (std::size_t l = 0; l < W; ++l) {
-      ASSERT_EQ(warm[l].length(), cold[l].length());
-      for (std::size_t k = 0; k < cold[l].length(); ++k) {
-        expect_same_bits(warm[l].at(k).norm, cold[l].at(k).norm, "warm norm");
-        for (std::size_t i = 0; i < cold[l].at(k).state.size(); ++i)
-          expect_same_bits(warm[l].at(k).state[i], cold[l].at(k).state[i], "warm state");
-      }
-    }
-    for (auto& traj : warm) workspace.recycle(std::move(traj));
-  }
-}
-
-TEST(BatchFrontEnds, DesignBatchMatchesScalarAcrossMixedShapes) {
-  // Second-order plants mixed with a third-order companion plant so the
-  // shape-grouping path runs; interleaved order proves results scatter
-  // back by input index.
-  std::vector<control::StateSpace> plants;
-  std::vector<control::PolePlacementLoopSpec> specs;
-  Matrix a3(3, 3);
-  a3(0, 1) = 1.0;
-  a3(1, 2) = 1.0;
-  a3(2, 0) = -1.0;
-  a3(2, 1) = -2.0;
-  a3(2, 2) = -1.5;
-  Matrix b3(3, 1);
-  b3(2, 0) = 1.0;
-  for (int i = 0; i < 2 * static_cast<int>(W) + 1; ++i) {
-    control::PolePlacementLoopSpec spec;
-    spec.sampling_period = 0.02;
-    spec.delay_tt = 0.0;
-    spec.delay_et = 0.02;
-    const double rho = 0.35 + 0.04 * static_cast<double>(i % 5);
-    if (i % 3 == 2) {
-      plants.emplace_back(a3, b3);
-      spec.poles_tt = control::oscillatory_pole_set(rho, 0.5, 4);
-      spec.poles_et = control::oscillatory_pole_set(rho + 0.1, 0.7, 4);
-    } else {
-      plants.push_back(plants::make_oscillator(5.0 + i, 0.2, 1.0));
-      spec.poles_tt = control::oscillatory_pole_set(rho, 0.5, 3);
-      spec.poles_et = control::oscillatory_pole_set(rho + 0.1, 0.7, 3);
-    }
-    specs.push_back(std::move(spec));
-  }
-  std::vector<const control::StateSpace*> plant_ptrs;
-  std::vector<const control::PolePlacementLoopSpec*> spec_ptrs;
-  for (std::size_t i = 0; i < plants.size(); ++i) {
-    plant_ptrs.push_back(&plants[i]);
-    spec_ptrs.push_back(&specs[i]);
-  }
-  const auto batch = control::design_hybrid_loops_batch(plant_ptrs, spec_ptrs);
-  ASSERT_EQ(batch.size(), plants.size());
-  for (std::size_t i = 0; i < plants.size(); ++i) {
-    const auto scalar = control::design_hybrid_loops(plants[i], specs[i]);
-    expect_matrix_bits(batch[i].gain_tt, scalar.gain_tt, "gain_tt");
-    expect_matrix_bits(batch[i].gain_et, scalar.gain_et, "gain_et");
-    expect_matrix_bits(batch[i].a_tt, scalar.a_tt, "a_tt");
-    expect_matrix_bits(batch[i].a_et, scalar.a_et, "a_et");
-    expect_same_bits(batch[i].rho_tt, scalar.rho_tt, "rho_tt");
-    expect_same_bits(batch[i].rho_et, scalar.rho_et, "rho_et");
-    EXPECT_EQ(batch[i].state_dim, scalar.state_dim);
-  }
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "online/reallocation.hpp"
 #include "online/scenario.hpp"
 #include "plants/fleet_synthesis.hpp"
+#include "reference/analysis_reference.hpp"
 
 namespace {
 

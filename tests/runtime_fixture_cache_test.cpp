@@ -32,6 +32,7 @@ namespace {
 
 using cps::runtime::FixtureCache;
 using cps::runtime::FixtureCodec;
+using cps::runtime::FixtureHandle;
 using cps::runtime::FixtureKey;
 using cps::runtime::FixtureStore;
 
@@ -79,14 +80,14 @@ TEST(FixtureCacheTest, HitReturnsTheSameObject) {
   auto& cache = FixtureCache::instance();
   const auto before = cache.stats();
   int computes = 0;
-  auto first = cache.get_or_compute<std::string>("test/hit-object", [&] {
+  auto first = FixtureHandle<std::string>("test/hit-object").get([&] {
     ++computes;
     return std::string("payload");
-  });
-  auto second = cache.get_or_compute<std::string>("test/hit-object", [&] {
+  }, cache);
+  auto second = FixtureHandle<std::string>("test/hit-object").get([&] {
     ++computes;
     return std::string("payload");
-  });
+  }, cache);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(first.get(), second.get());  // shared, not equal-but-copied
   const auto after = cache.stats();
@@ -106,11 +107,11 @@ TEST(FixtureCacheTest, ComputesOnceUnderConcurrency) {
     futures.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
       futures.push_back(pool.submit([&cache, &computes, &results, t] {
-        results[t] = cache.get_or_compute<int>("test/concurrent", [&computes] {
+        results[t] = FixtureHandle<int>("test/concurrent").get([&computes] {
           ++computes;
           std::this_thread::sleep_for(std::chrono::milliseconds(20));  // widen the race
           return 1234;
-        });
+        }, cache);
       }));
     }
     for (auto& f : futures) f.get();
@@ -125,18 +126,17 @@ TEST(FixtureCacheTest, ComputesOnceUnderConcurrency) {
 
 TEST(FixtureCacheTest, TypeMismatchThrows) {
   auto& cache = FixtureCache::instance();
-  cache.get_or_compute<int>("test/typed", [] { return 1; });
-  EXPECT_THROW(cache.get_or_compute<double>("test/typed", [] { return 2.0; }), cps::Error);
+  FixtureHandle<int>("test/typed").get([] { return 1; }, cache);
+  EXPECT_THROW(FixtureHandle<double>("test/typed").get([] { return 2.0; }, cache), cps::Error);
 }
 
 TEST(FixtureCacheTest, FailedComputeReleasesTheKey) {
   auto& cache = FixtureCache::instance();
-  EXPECT_THROW(cache.get_or_compute<int>(
-                   "test/failing",
-                   []() -> int { throw std::runtime_error("fixture exploded"); }),
+  EXPECT_THROW(FixtureHandle<int>("test/failing")
+                   .get([]() -> int { throw std::runtime_error("fixture exploded"); }, cache),
                std::runtime_error);
   // The key must be retryable after a failure.
-  auto value = cache.get_or_compute<int>("test/failing", [] { return 7; });
+  auto value = FixtureHandle<int>("test/failing").get([] { return 7; }, cache);
   EXPECT_EQ(*value, 7);
 }
 
@@ -145,8 +145,8 @@ TEST(FixtureCacheTest, DistinctKeysDistinctValues) {
   FixtureKey a("test/param"), b("test/param");
   a.add(1.0);
   b.add(2.0);
-  auto va = cache.get_or_compute<double>(a, [] { return 1.0; });
-  auto vb = cache.get_or_compute<double>(b, [] { return 2.0; });
+  auto va = FixtureHandle<double>(a).get([] { return 1.0; }, cache);
+  auto vb = FixtureHandle<double>(b).get([] { return 2.0; }, cache);
   EXPECT_NE(va.get(), vb.get());
   EXPECT_EQ(*va, 1.0);
   EXPECT_EQ(*vb, 2.0);
@@ -194,10 +194,10 @@ TEST(FixtureStoreTest, ColdMissComputesAndWritesTheFile) {
   FixtureKey key("store_cold");
   key.add(1.25);
   int computes = 0;
-  auto value = cache.get_or_compute<double>(key, double_codec(), [&] {
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get([&] {
     ++computes;
     return 0.1 + 0.2;  // not exactly 0.3: the bits must survive as-is
-  });
+  }, cache);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(*value, 0.1 + 0.2);
 
@@ -218,7 +218,8 @@ TEST(FixtureStoreTest, WarmHitSkipsComputeAndIsBitIdentical) {
   {
     FixtureCache first_process;
     first_process.set_store(std::make_shared<FixtureStore>(dir.path));
-    first_process.get_or_compute<double>(key, double_codec(), [&] { return expected; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return expected; },
+                                                              first_process);
   }
 
   // A fresh cache instance models the next process of the campaign: its
@@ -226,10 +227,10 @@ TEST(FixtureStoreTest, WarmHitSkipsComputeAndIsBitIdentical) {
   // running compute, and with the exact bit pattern.
   FixtureCache second_process;
   second_process.set_store(std::make_shared<FixtureStore>(dir.path));
-  auto value = second_process.get_or_compute<double>(key, double_codec(), [&]() -> double {
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get([&]() -> double {
     ADD_FAILURE() << "warm store hit must not recompute";
     return 0.0;
-  });
+  }, second_process);
   EXPECT_EQ(bits_of(*value), bits_of(expected));
   const auto stats = second_process.store()->stats();
   EXPECT_EQ(stats.disk_hits, 1u);
@@ -244,7 +245,7 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   {
     FixtureCache writer;
     writer.set_store(std::make_shared<FixtureStore>(dir.path));
-    writer.get_or_compute<double>(key, double_codec(), [] { return 42.0; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([] { return 42.0; }, writer);
   }
 
   // Flip a payload byte mid-file: the checksum must reject it.
@@ -259,10 +260,10 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = reader.get_or_compute<double>(key, double_codec(), [&] {
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get([&] {
     ++computes;
     return 42.0;
-  });
+  }, reader);
   EXPECT_EQ(computes, 1) << "corrupt file must fall back to compute";
   EXPECT_EQ(*value, 42.0);
   auto stats = reader.store()->stats();
@@ -272,10 +273,10 @@ TEST(FixtureStoreTest, CorruptedFileRecomputesLoudlyAndHeals) {
   // The rewritten file serves the next process again.
   FixtureCache healed;
   healed.set_store(std::make_shared<FixtureStore>(dir.path));
-  auto again = healed.get_or_compute<double>(key, double_codec(), [&]() -> double {
+  auto again = FixtureHandle<double>(key).with_codec(double_codec()).get([&]() -> double {
     ADD_FAILURE() << "healed store must hit";
     return 0.0;
-  });
+  }, healed);
   EXPECT_EQ(*again, 42.0);
 }
 
@@ -286,7 +287,7 @@ TEST(FixtureStoreTest, TruncatedFileRecomputes) {
   {
     FixtureCache writer;
     writer.set_store(std::make_shared<FixtureStore>(dir.path));
-    writer.get_or_compute<double>(key, double_codec(), [] { return 7.0; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([] { return 7.0; }, writer);
   }
   const std::string path = FixtureStore(dir.path).path_of(key.str());
   std::filesystem::resize_file(path, 10);  // shorter than the magic + trailer
@@ -294,10 +295,10 @@ TEST(FixtureStoreTest, TruncatedFileRecomputes) {
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = reader.get_or_compute<double>(key, double_codec(), [&] {
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get([&] {
     ++computes;
     return 7.0;
-  });
+  }, reader);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(*value, 7.0);
   EXPECT_EQ(reader.store()->stats().invalid, 1u);
@@ -343,10 +344,10 @@ TEST(FixtureStoreTest, UndecodablePayloadRecomputes) {
   FixtureCache cache;
   cache.set_store(std::make_shared<FixtureStore>(dir.path));
   int computes = 0;
-  auto value = cache.get_or_compute<double>(key, double_codec(), [&] {
+  auto value = FixtureHandle<double>(key).with_codec(double_codec()).get([&] {
     ++computes;
     return 11.0;
-  });
+  }, cache);
   EXPECT_EQ(computes, 1);
   EXPECT_EQ(*value, 11.0);
   // The load was reclassified: a payload the codec rejected was never a
@@ -365,11 +366,11 @@ TEST(FixtureStoreTest, UsageReportsPerDomainFilesAndBytes) {
   for (int i = 0; i < 3; ++i) {
     FixtureKey key("usage_domain_a");
     key.add(static_cast<double>(i));
-    cache.get_or_compute<double>(key, double_codec(), [&] { return i * 1.5; });
+    FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return i * 1.5; }, cache);
   }
   FixtureKey key_b("usage_domain_b");
   key_b.add(9.0);
-  cache.get_or_compute<double>(key_b, double_codec(), [&] { return 9.0; });
+  FixtureHandle<double>(key_b).with_codec(double_codec()).get([&] { return 9.0; }, cache);
 
   const auto usage = cache.store()->usage();
   ASSERT_EQ(usage.size(), 2u);  // sorted by domain name
@@ -391,7 +392,8 @@ TEST(FixtureStoreTest, GcEvictsLeastRecentlyUsedFirstUntilUnderCap) {
     for (int i = 0; i < 4; ++i) {
       FixtureKey key("gc_domain");
       key.add(static_cast<double>(i));
-      writer.get_or_compute<double>(key, double_codec(), [&] { return i * 2.0; });
+      FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return i * 2.0; },
+                                                                writer);
       paths.push_back(writer.store()->path_of(key.str()));
     }
     file_bytes = std::filesystem::file_size(paths[0]);
@@ -428,7 +430,7 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
   cache.set_store(std::make_shared<FixtureStore>(dir.path));
   FixtureKey key("gc_inuse");
   key.add(1.0);
-  cache.get_or_compute<double>(key, double_codec(), [&] { return 1.0; });
+  FixtureHandle<double>(key).with_codec(double_codec()).get([&] { return 1.0; }, cache);
   const std::string path = cache.store()->path_of(key.str());
 
   // Cap 0 would evict everything — but this process wrote the file, so
@@ -443,10 +445,10 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
   // over a fresh store instance loads the file, then gc spares it.
   FixtureCache reader;
   reader.set_store(std::make_shared<FixtureStore>(dir.path));
-  reader.get_or_compute<double>(key, double_codec(), [&]() -> double {
+  FixtureHandle<double>(key).with_codec(double_codec()).get([&]() -> double {
     ADD_FAILURE() << "warm hit expected";
     return 0.0;
-  });
+  }, reader);
   const auto gc2 = reader.store()->gc_to_max_bytes(0);
   EXPECT_EQ(gc2.evicted, 0u);
   EXPECT_EQ(gc2.kept_in_use, 1u);
@@ -456,14 +458,14 @@ TEST(FixtureStoreTest, GcNeverEvictsFilesTouchedByTheCurrentRun) {
 TEST(FixtureCacheTest, ClearEmptiesEntries) {
   // Separate cache instance semantics are global; clear() then repopulate.
   auto& cache = FixtureCache::instance();
-  cache.get_or_compute<int>("test/clear-me", [] { return 1; });
+  FixtureHandle<int>("test/clear-me").get([] { return 1; }, cache);
   cache.clear();
   EXPECT_EQ(cache.stats().entries, 0u);
   int computes = 0;
-  cache.get_or_compute<int>("test/clear-me", [&] {
+  FixtureHandle<int>("test/clear-me").get([&] {
     ++computes;
     return 1;
-  });
+  }, cache);
   EXPECT_EQ(computes, 1);
 }
 

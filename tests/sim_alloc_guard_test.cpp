@@ -3,8 +3,8 @@
 // This binary replaces the global operator new/new[] with counting
 // wrappers (malloc-backed, so ASan still tracks every block) and asserts
 // the core contract of the PR-3 rework: the settle, trajectory and jitter
-// inner loops — scalar AND batched (linalg/batch_kernels.hpp) — perform
-// ZERO heap allocations per step.  The assertion is
+// inner loops — and the batched settle (linalg/batch_kernels.hpp) —
+// perform ZERO heap allocations per step.  The assertion is
 // made robust by comparison, not by absolute counts: running the same
 // kernel for N and for 4N steps must allocate the identical number of
 // blocks (the setup cost), so any per-step allocation fails the test by a
@@ -147,69 +147,16 @@ TEST(AllocGuard, BatchedSettleLoopAllocatesNothingOnceBuffersAreWarm) {
   EXPECT_EQ(allocs, 0u) << "batched settle loop allocates with warm buffers";
 }
 
-TEST(AllocGuard, BatchedTrajectoryLoopIsAllocationFreePerStep) {
-  const ServoFixture f;
-  constexpr std::size_t W = linalg::kSimdWidth;
-  std::vector<linalg::Vector> x0s(W, f.x0);
-  (void)f.sys.simulate_batch(x0s.data(), W, 40, 100, 0.02);
-
-  // Like the scalar trajectory guard: sample storage is reserved up front
-  // (allocation SIZE depends on the step count), then the lockstep loop
-  // must not allocate per step — the COUNT is step-count-independent.
-  const std::size_t short_allocs =
-      allocations_of([&] { (void)f.sys.simulate_batch(x0s.data(), W, 40, 500, 0.02); });
-  const std::size_t long_allocs =
-      allocations_of([&] { (void)f.sys.simulate_batch(x0s.data(), W, 40, 2000, 0.02); });
-  EXPECT_EQ(short_allocs, long_allocs) << "batched trajectory loop allocates per step";
-}
-
-TEST(AllocGuard, BatchedTrajectoryWorkspaceRecyclesSampleStorage) {
-  const ServoFixture f;
-  constexpr std::size_t W = linalg::kSimdWidth;
-  std::vector<linalg::Vector> x0s(W, f.x0);
-  sim::TrajectoryBatchWorkspace workspace;
-  auto warmup = f.sys.simulate_batch(x0s.data(), W, 40, 500, 0.02, workspace);
-  for (auto& traj : warmup) workspace.recycle(std::move(traj));
-
-  // Warm workspace: the per-lane sample vectors come back from the pool
-  // with their capacity intact, so a same-shape call performs only the
-  // small fixed-count bookkeeping allocations (result vector + lane
-  // table), not W sample-storage allocations — and recycling keeps it
-  // that way call after call.
-  const std::size_t warm_allocs = allocations_of([&] {
-    auto trajs = f.sys.simulate_batch(x0s.data(), W, 40, 500, 0.02, workspace);
-    for (auto& traj : trajs) workspace.recycle(std::move(traj));
-  });
-  EXPECT_LE(warm_allocs, 3u) << "warm workspace call re-allocates sample storage";
-}
-
 TEST(AllocGuard, BatchedKernelsAllocateNothingOnceShaped) {
   const ServoFixture f;
   constexpr std::size_t W = linalg::kSimdWidth;
   const std::size_t n = f.design.a_et.rows();
-  linalg::BatchMat a(n, n), b(n, n), out;
   linalg::BatchVec x(n), v_out(n);
-  double lane_scale[W];
   std::vector<double> x0(n, 0.5);
-  for (std::size_t l = 0; l < W; ++l) {
-    a.load_lane(l, f.design.a_et);
-    b.load_lane(l, f.design.a_tt);
-    x.load_lane(l, x0.data());
-    lane_scale[l] = 0.99;
-  }
-  // First calls shape the outputs; the steady state is under test.
-  linalg::batch_multiply_into(a, b, out);
-  linalg::batch_apply_into(a, x, v_out);
+  for (std::size_t l = 0; l < W; ++l) x.load_lane(l, x0.data());
 
   const std::size_t kernel_allocs = allocations_of([&] {
-    for (int i = 0; i < 100; ++i) {
-      linalg::batch_multiply_into(a, b, out);
-      linalg::batch_apply_into(a, x, v_out);
-      linalg::batch_apply_shared_into(f.design.a_et, x, v_out);
-      linalg::batch_add_scaled_into(a, b, 0.5);
-      linalg::batch_add_identity_into(a);
-      linalg::batch_scale_lanes(a, lane_scale);
-    }
+    for (int i = 0; i < 100; ++i) linalg::batch_apply_shared_into(f.design.a_et, x, v_out);
   });
   EXPECT_EQ(kernel_allocs, 0u);
 }

@@ -1,8 +1,8 @@
 // Golden-output regression tests for the PR-3 allocation-free simulation
 // kernels, in the style of tests/analysis_golden_test.cpp: each reworked
-// per-step loop ships next to its frozen pre-optimization implementation
-// (SwitchedLinearSystem::simulate_reference,
-// JitteryClosedLoop::settle_under_random_delays_reference,
+// per-step loop is checked against its frozen pre-optimization
+// implementation in tests/reference/ (sim::simulate_reference,
+// sim::settle_under_random_delays_reference,
 // analysis::transient_growth*_reference) and these tests assert
 // bit-identical results — exact double bit patterns, exact step counts —
 // on the servo fixture, the synthesized Table I fleet, and randomized
@@ -18,6 +18,8 @@
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
 #include "plants/servo_motor.hpp"
+#include "reference/analysis_reference.hpp"
+#include "reference/sim_reference.hpp"
 #include "sim/jitter.hpp"
 #include "sim/switched_system.hpp"
 #include "util/rng.hpp"
@@ -46,7 +48,7 @@ TEST(TrajectoryGolden, ServoBitIdentical) {
   const auto x0 = plants::servo_disturbed_state();
   for (const std::size_t switch_step : {std::size_t{0}, std::size_t{17}, std::size_t{500}}) {
     expect_bit_identical(sys.simulate(x0, switch_step, 400, 0.02),
-                         sys.simulate_reference(x0, switch_step, 400, 0.02));
+                         sim::simulate_reference(sys, x0, switch_step, 400, 0.02));
   }
 }
 
@@ -56,7 +58,7 @@ TEST(TrajectoryGolden, SynthesizedFleetBitIdentical) {
     const sim::SwitchedLinearSystem sys(design.a_et, design.a_tt, design.state_dim);
     const auto x0 = linalg::Vector::concat(app.x0, linalg::Vector::zero(design.input_dim));
     expect_bit_identical(sys.simulate(x0, 25, 600, 0.02),
-                         sys.simulate_reference(x0, 25, 600, 0.02));
+                         sim::simulate_reference(sys, x0, 25, 600, 0.02));
   }
 }
 
@@ -79,7 +81,7 @@ TEST(TrajectoryGolden, RandomSystemsBitIdentical) {
     linalg::Vector x0(dim);
     for (std::size_t i = 0; i < dim; ++i) x0[i] = rng.uniform(-1.5, 1.5);
     expect_bit_identical(sys.simulate(x0, 11, 200, 0.01),
-                         sys.simulate_reference(x0, 11, 200, 0.01));
+                         sim::simulate_reference(sys, x0, 11, 200, 0.01));
   }
 }
 
@@ -95,7 +97,7 @@ TEST(JitterGolden, SettleBitIdenticalUnderSameDraws) {
     Rng rng_opt(seed);
     Rng rng_ref(seed);
     const auto optimized = loop.settle_under_random_delays(z0, 0.1, rng_opt);
-    const auto reference = loop.settle_under_random_delays_reference(z0, 0.1, rng_ref);
+    const auto reference = sim::settle_under_random_delays_reference(loop, z0, 0.1, rng_ref);
     ASSERT_EQ(optimized.has_value(), reference.has_value()) << "seed " << seed;
     if (optimized.has_value()) {
       EXPECT_EQ(*optimized, *reference) << "seed " << seed;
@@ -118,7 +120,7 @@ TEST(JitterGolden, CampaignBitIdentical) {
   std::size_t settled = 0;
   double sum = 0.0;
   for (std::size_t r = 0; r < 50; ++r) {
-    const auto settle = loop.settle_under_random_delays_reference(z0, 0.1, rng_b);
+    const auto settle = sim::settle_under_random_delays_reference(loop, z0, 0.1, rng_b);
     if (!settle.has_value()) continue;
     ++settled;
     sum += static_cast<double>(*settle) * 0.02;
