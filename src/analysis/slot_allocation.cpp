@@ -1,12 +1,11 @@
 #include "analysis/slot_allocation.hpp"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <functional>
-#include <unordered_map>
 #include <utility>
 
 #include "runtime/parallel_search.hpp"
@@ -27,13 +26,13 @@ Allocation finalize(std::vector<std::vector<AppSchedParams>> slots,
     names.reserve(slot.size());
     for (const auto& a : slot) names.push_back(a.name);
     out.slots.push_back(std::move(names));
-    out.analyses.push_back(analyze_slot(slot, options.method));
+    out.analyses.push_back(analyze_slot(std::move(slot), options.method));
   }
   return out;
 }
 
 // ---------------------------------------------------------------------------
-// Fast slot-feasibility engine.
+// Mask-indexed slot-feasibility engine.
 //
 // The allocators spend their entire runtime asking "is this slot's
 // application set schedulable?".  analyze_slot answers that, but each call
@@ -41,9 +40,26 @@ Allocation finalize(std::vector<std::vector<AppSchedParams>> slots,
 // heap-allocates the result vector.  This engine answers the same question
 // over *indices* into the caller's priority-sorted application vector with
 // the exact floating-point operation order of analyze_slot (same sums, same
-// maxima, same comparisons), so its verdicts are bit-identical — and it
-// memoizes verdicts by membership bitmask, because branch-and-bound re-tests
-// the same slot contents along many branches.
+// maxima, same comparisons), so its verdicts are bit-identical.
+//
+// Applications are placed in index (= priority) order, so a slot's
+// membership bitmask fully determines its ordered members: the engine
+// takes the mask itself as the query, walks its set bits into a stack
+// array, and memoizes the verdict in a flat open-addressing table keyed
+// by the mask — branch-and-bound re-tests the same slot contents along
+// many branches.  A verdict is a pure function of the mask, so the memo
+// never changes an answer.  Instances above 64 applications have no mask;
+// only the heuristics accept them, and they check explicit member lists
+// without a memo.
+
+/// Largest instance the membership bitmask (and the exact search) covers.
+constexpr std::size_t kMaxIndexedApps = 64;
+
+std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << i; }
+
+std::size_t lowest_bit(std::uint64_t mask) {
+  return static_cast<std::size_t>(__builtin_ctzll(mask));
+}
 
 struct AppFacts {
   double xi_m = 0.0;     // model->max_dwell(), the xi^M of the analysis
@@ -58,6 +74,60 @@ struct AppFacts {
 // feasibility engine below and the conflict screen's pair recurrence
 // must evaluate the identical expression for the pair bound to stay a
 // true lower bound of the real feasibility math.
+
+/// Slot verdicts keyed by membership mask: linear probing over a
+/// power-of-two table kept at most half full, Fibonacci-hashed on the
+/// high product bits (so bit 63 mixes in like every other).  Key 0 marks
+/// an empty cell — every queried slot has a member, so no real key is 0.
+/// The table allocates on the first insert and then only when it doubles.
+class VerdictMemo {
+ public:
+  /// The memoized verdict of `mask`: 1 feasible, 0 infeasible, -1 unknown.
+  int find(std::uint64_t mask) const {
+    if (keys_.empty()) return -1;
+    const std::size_t cell = probe(mask);
+    return keys_[cell] == mask ? verdicts_[cell] : -1;
+  }
+
+  /// Record the verdict of a mask that find() reported unknown.
+  void insert(std::uint64_t mask, bool verdict) {
+    if (2 * (size_ + 1) > keys_.size()) grow();
+    const std::size_t cell = probe(mask);
+    keys_[cell] = mask;
+    verdicts_[cell] = verdict ? 1 : 0;
+    ++size_;
+  }
+
+ private:
+  static constexpr std::size_t kInitialCells = 64;
+
+  std::size_t probe(std::uint64_t mask) const {
+    const std::size_t wrap = keys_.size() - 1;
+    auto cell = static_cast<std::size_t>((mask * 0x9E3779B97F4A7C15ULL) >> shift_);
+    while (keys_[cell] != 0 && keys_[cell] != mask) cell = (cell + 1) & wrap;
+    return cell;
+  }
+
+  void grow() {
+    const std::vector<std::uint64_t> old_keys = std::move(keys_);
+    const std::vector<std::uint8_t> old_verdicts = std::move(verdicts_);
+    const std::size_t cells = old_keys.empty() ? kInitialCells : 2 * old_keys.size();
+    keys_.assign(cells, 0);
+    verdicts_.assign(cells, 0);
+    shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cells));
+    for (std::size_t c = 0; c < old_keys.size(); ++c) {
+      if (old_keys[c] == 0) continue;
+      const std::size_t cell = probe(old_keys[c]);
+      keys_[cell] = old_keys[c];
+      verdicts_[cell] = old_verdicts[c];
+    }
+  }
+
+  std::vector<std::uint64_t> keys_;
+  std::vector<std::uint8_t> verdicts_;
+  std::size_t size_ = 0;
+  unsigned shift_ = 64;
+};
 
 class SlotFeasibility {
  public:
@@ -78,38 +148,47 @@ class SlotFeasibility {
       f.model = a.model.get();
       facts_.push_back(f);
     }
-    use_memo_ = facts_.size() <= 64;
   }
 
   const AppFacts& facts(std::size_t i) const { return facts_[i]; }
 
-  /// Schedulability of the slot holding exactly `members` (indices in
-  /// increasing = priority order).  Equals
+  /// True when every application has a mask bit (at most 64 of them).
+  bool indexed() const { return facts_.size() <= kMaxIndexedApps; }
+
+  /// Schedulability of the slot holding exactly the set bits of `mask`
+  /// (requires indexed()).  Equals
   /// analyze_slot({apps[members]...}, method).all_schedulable bit for bit.
-  bool feasible(const std::vector<std::size_t>& members) {
-    if (!use_memo_) return compute(members);
-    std::uint64_t mask = 0;
-    for (std::size_t i : members) mask |= std::uint64_t{1} << i;
-    const auto it = memo_.find(mask);
-    if (it != memo_.end()) return it->second;
-    const bool ok = compute(members);
-    memo_.emplace(mask, ok);
+  bool feasible(std::uint64_t mask) {
+    const int cached = memo_.find(mask);
+    if (cached >= 0) return cached != 0;
+    std::array<std::size_t, kMaxIndexedApps> members{};
+    std::size_t count = 0;
+    for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
+      members[count++] = lowest_bit(rest);
+    const bool ok = compute(members.data(), count);
+    memo_.insert(mask, ok);
     return ok;
   }
 
+  /// The same verdict for an explicit member list (indices in increasing
+  /// = priority order), unmemoized: the path of instances too large for a
+  /// mask.
+  bool feasible_members(const std::vector<std::size_t>& members) const {
+    return compute(members.data(), members.size());
+  }
+
  private:
-  bool compute(const std::vector<std::size_t>& members) const {
+  bool compute(const std::size_t* members, std::size_t count) const {
     // Mirrors analyze_slot member by member — including evaluating every
     // member rather than stopping at the first failure, so an exception a
     // later member would raise (fixed-point non-convergence) surfaces
     // exactly as in the reference path.  Keep in sync with
     // analysis/schedulability.cpp (the semantic source of this math).
     bool all_ok = true;
-    for (std::size_t i = 0; i < members.size(); ++i) {
+    for (std::size_t i = 0; i < count; ++i) {
       // Blocking a (Eq. 8): largest lower-priority max dwell.
       double a = 0.0;
-      for (std::size_t k = i + 1; k < members.size(); ++k)
-        a = std::max(a, facts_[members[k]].xi_m);
+      for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
       // Interference utilization m (Eq. 19).
       double m = 0.0;
       for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
@@ -150,47 +229,79 @@ class SlotFeasibility {
 
   MaxWaitMethod method_;
   std::vector<AppFacts> facts_;
-  bool use_memo_ = false;
-  std::unordered_map<std::uint64_t, bool> memo_;
+  VerdictMemo memo_;
 };
 
 /// Dedicated-slot feasibility of one application, throwing the shared
 /// diagnostic otherwise.
 void require_alone_feasible(SlotFeasibility& engine, const AppSchedParams& app,
                             std::size_t index) {
-  if (!engine.feasible({index}))
+  const bool alone = engine.indexed() ? engine.feasible(bit_of(index))
+                                      : engine.feasible_members({index});
+  if (!alone)
     throw InfeasibleError("application '" + app.name +
                           "' cannot meet its deadline even on a dedicated TT slot");
 }
+
+/// The growing partition of a heuristic allocator: member lists (the
+/// answer) plus, on mask-indexed instances, one membership mask per slot
+/// for the memoized feasibility query.
+class HeuristicPartition {
+ public:
+  explicit HeuristicPartition(SlotFeasibility& engine) : engine_(engine) {}
+
+  std::size_t size() const { return slots_.size(); }
+  const std::vector<std::size_t>& members(std::size_t s) const { return slots_[s]; }
+
+  /// Whether slot `s` stays schedulable with app i added (i outranks none
+  /// of its members: apps are processed by decreasing priority).
+  bool accepts(std::size_t s, std::size_t i) {
+    if (engine_.indexed()) return engine_.feasible(masks_[s] | bit_of(i));
+    candidate_ = slots_[s];
+    candidate_.push_back(i);
+    return engine_.feasible_members(candidate_);
+  }
+
+  void add(std::size_t s, std::size_t i) {
+    slots_[s].push_back(i);  // appending preserves priority order
+    if (engine_.indexed()) masks_[s] |= bit_of(i);
+  }
+
+  /// Open a new slot for `app` (index i), failing loudly when it cannot
+  /// meet its deadline even alone or the slot cap is exceeded.
+  /// max_slots = 0 is unlimited.
+  void open(const AppSchedParams& app, std::size_t i, std::size_t max_slots) {
+    require_alone_feasible(engine_, app, i);
+    slots_.push_back({i});
+    if (engine_.indexed()) masks_.push_back(bit_of(i));
+    if (max_slots != 0 && slots_.size() > max_slots)
+      throw InfeasibleError("slot allocation exceeds the available " +
+                            std::to_string(max_slots) + " TT slots");
+  }
+
+  std::vector<std::vector<std::size_t>> release() { return std::move(slots_); }
+
+ private:
+  SlotFeasibility& engine_;
+  std::vector<std::vector<std::size_t>> slots_;
+  std::vector<std::uint64_t> masks_;
+  std::vector<std::size_t> candidate_;
+};
 
 /// First-fit over indices (the paper's heuristic), shared by the public
 /// entry point and the branch-and-bound seed.  max_slots = 0 is unlimited.
 std::vector<std::vector<std::size_t>> first_fit_indices(
     SlotFeasibility& engine, const std::vector<AppSchedParams>& apps, std::size_t max_slots) {
-  std::vector<std::vector<std::size_t>> slots;
-  std::vector<std::size_t> candidate;
+  HeuristicPartition partition(engine);
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    bool placed = false;
-    for (auto& slot : slots) {
-      candidate = slot;
-      candidate.push_back(i);
-      if (engine.feasible(candidate)) {
-        slot = candidate;
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      // A new slot always accepts a single application provided it can
-      // meet its deadline alone; verify to fail loudly otherwise.
-      require_alone_feasible(engine, apps[i], i);
-      slots.push_back({i});
-      if (max_slots != 0 && slots.size() > max_slots)
-        throw InfeasibleError("slot allocation exceeds the available " +
-                              std::to_string(max_slots) + " TT slots");
-    }
+    std::size_t s = 0;
+    while (s < partition.size() && !partition.accepts(s, i)) ++s;
+    if (s < partition.size())
+      partition.add(s, i);
+    else
+      partition.open(apps[i], i, max_slots);
   }
-  return slots;
+  return partition.release();
 }
 
 /// Materialize index slots back into application slots for finalize().
@@ -247,51 +358,56 @@ std::vector<std::vector<AppSchedParams>> materialize(
 //  * Conflict-clique bound: a greedy clique among the remaining
 //    applications needs pairwise-distinct slots; members conflicting
 //    with every existing slot need that many NEW slots.
+//
+// The search state is fixed-size (one membership mask and one load per
+// slot), so expanding a node touches no heap: slot orders are built on
+// the stack and every feasibility query is a mask lookup.
 
 constexpr std::size_t kNoTwin = static_cast<std::size_t>(-1);
-
-std::uint64_t bit_of(std::size_t i) { return std::uint64_t{1} << i; }
 
 /// Shared search state for the branch-and-bound passes.  Note that a
 /// partial partition is reachable by exactly one choice sequence (apps are
 /// placed in index order and blocks are identified by their lowest-index
 /// member), so no transposition bookkeeping is needed — distinct nodes are
-/// distinct states.
+/// distinct states.  Slot members are the set bits of its mask, in
+/// increasing = priority order.
 struct SearchState {
-  std::vector<std::vector<std::size_t>> blocks;
-  std::vector<double> loads;
-  std::vector<std::uint64_t> masks;  ///< membership bitmask per slot
-  std::vector<std::size_t> slot_of;  ///< slot index of each placed app
-
-  explicit SearchState(std::size_t n) : slot_of(n, 0) {}
+  std::size_t slots = 0;                                ///< slots opened so far
+  std::array<double, kMaxIndexedApps> loads{};          ///< in-order utilization sum
+  std::array<std::uint64_t, kMaxIndexedApps> masks{};   ///< membership bitmask per slot
+  std::array<std::uint8_t, kMaxIndexedApps> slot_of{};  ///< slot index of each placed app
 
   void push(std::size_t slot, std::size_t app, double util) {
-    blocks[slot].push_back(app);
     loads[slot] += util;  // appending keeps this the exact in-order sum
     masks[slot] |= bit_of(app);
-    slot_of[app] = slot;
+    slot_of[app] = static_cast<std::uint8_t>(slot);
   }
-  void pop(std::size_t slot, const std::vector<double>& utils) {
-    masks[slot] &= ~bit_of(blocks[slot].back());
-    blocks[slot].pop_back();
+  void pop(std::size_t slot, std::size_t app, const std::vector<double>& utils) {
+    masks[slot] &= ~bit_of(app);
     // Recompute the in-order sum instead of subtracting: (L + u) - u can
     // drift ulps away from L, and the loads feed the >= 1.0 feasibility
     // screen and the lower bounds, which must see exactly the sum the
     // feasibility engine computes.
     double load = 0.0;
-    for (const std::size_t member : blocks[slot]) load += utils[member];
+    for (std::uint64_t rest = masks[slot]; rest != 0; rest &= rest - 1)
+      load += utils[lowest_bit(rest)];
     loads[slot] = load;
   }
   void open(std::size_t app, double util) {
-    blocks.push_back({app});
-    loads.push_back(util);
-    masks.push_back(bit_of(app));
-    slot_of[app] = blocks.size() - 1;
+    loads[slots] = util;
+    masks[slots] = bit_of(app);
+    slot_of[app] = static_cast<std::uint8_t>(slots);
+    ++slots;
   }
-  void close() {
-    blocks.pop_back();
-    loads.pop_back();
-    masks.pop_back();
+  void close() { --slots; }
+
+  /// The partition as member lists, slots in index order.
+  std::vector<std::vector<std::size_t>> members() const {
+    std::vector<std::vector<std::size_t>> out(slots);
+    for (std::size_t s = 0; s < slots; ++s)
+      for (std::uint64_t rest = masks[s]; rest != 0; rest &= rest - 1)
+        out[s].push_back(lowest_bit(rest));
+    return out;
   }
 };
 
@@ -304,7 +420,7 @@ struct SearchFacts {
   std::vector<double> utils;                    ///< facts(i).util, index order
   std::vector<double> suffix_util;              ///< sum of utils over apps [i, n)
   std::vector<double> suffix_max;               ///< max util over apps [i, n)
-  std::vector<std::vector<double>> suffix_top;  ///< [i][e]: e largest utils in [i, n)
+  std::vector<double> suffix_top;               ///< top(i, e): e largest utils in [i, n)
   std::vector<std::uint64_t> conflict;          ///< apps that can never share with i
   std::vector<std::uint64_t> clique_suffix;     ///< greedy conflict clique within [i, n)
   std::vector<std::size_t> twin;                ///< adjacent interchangeable predecessor
@@ -321,13 +437,16 @@ struct SearchFacts {
       suffix_util[i] = utils[i] + suffix_util[i + 1];
       suffix_max[i] = std::max(utils[i], suffix_max[i + 1]);
     }
-    suffix_top.assign(n + 1, {});
+    // Row i holds the prefix sums of [i, n)'s utilizations in descending
+    // order; entries past n - i stay unused.
+    suffix_top.assign((n + 1) * (n + 1), 0.0);
+    std::array<double, kMaxIndexedApps> desc{};
     for (std::size_t i = 0; i <= n; ++i) {
-      std::vector<double> desc(utils.begin() + static_cast<std::ptrdiff_t>(i), utils.end());
-      std::sort(desc.begin(), desc.end(), std::greater<double>());
-      auto& top = suffix_top[i];
-      top.assign(desc.size() + 1, 0.0);
-      for (std::size_t e = 0; e < desc.size(); ++e) top[e + 1] = top[e] + desc[e];
+      std::copy(utils.begin() + static_cast<std::ptrdiff_t>(i), utils.end(), desc.begin());
+      std::sort(desc.begin(), desc.begin() + static_cast<std::ptrdiff_t>(n - i),
+                std::greater<double>());
+      double* row = &suffix_top[i * (n + 1)];
+      for (std::size_t e = 0; e < n - i; ++e) row[e + 1] = row[e] + desc[e];
     }
 
     conflict.assign(n, 0);
@@ -360,7 +479,7 @@ struct SearchFacts {
     // that, since the S lowest-priority members are distinct applications
     // — strengthened by the greedy conflict clique over the full set.
     for (std::size_t s = 1; s <= n; ++s) {
-      if (suffix_util[0] < static_cast<double>(s) + suffix_top[0][s]) {
+      if (suffix_util[0] < static_cast<double>(s) + top(0, s)) {
         total_lb = s;
         break;
       }
@@ -369,10 +488,13 @@ struct SearchFacts {
         total_lb, static_cast<std::size_t>(__builtin_popcountll(clique_suffix[0])));
   }
 
+  /// Sum of the e largest utilizations among apps [i, n), e <= n - i.
+  double top(std::size_t i, std::size_t e) const { return suffix_top[i * (n + 1) + e]; }
+
   /// Lower bound on the final slot count from a node where apps [0, i)
   /// form `state` and apps [i, n) are still unplaced.
   std::size_t lower_bound_at(std::size_t i, const SearchState& state) const {
-    const std::size_t used = state.blocks.size();
+    const std::size_t used = state.slots;
     if (i >= n) return used;  // nothing left to place
 
     // (a) Fractional packing over interference utilizations.
@@ -380,13 +502,12 @@ struct SearchFacts {
     const double remaining = suffix_util[i];
     const double u_max = suffix_max[i];
     double capacity = 0.0;  // what the existing slots can still absorb
-    for (const double load : state.loads) capacity += std::max(0.0, 1.0 + u_max - load);
+    for (std::size_t s = 0; s < used; ++s)
+      capacity += std::max(0.0, 1.0 + u_max - state.loads[s]);
     if (remaining > capacity) {
       const double deficit = remaining - capacity;
-      const auto& top = suffix_top[i];
       std::size_t extra = 1;
-      while (extra < top.size() &&
-             !(deficit < static_cast<double>(extra) + top[extra]))
+      while (extra <= n - i && !(deficit < static_cast<double>(extra) + top(i, extra)))
         ++extra;
       packing = used + extra;
     }
@@ -396,11 +517,11 @@ struct SearchFacts {
     std::size_t need_new = 0;
     std::uint64_t clique = clique_suffix[i];
     while (clique != 0) {
-      const auto v = static_cast<std::size_t>(__builtin_ctzll(clique));
+      const std::size_t v = lowest_bit(clique);
       clique &= clique - 1;
       bool fits_existing = false;
-      for (const std::uint64_t mask : state.masks)
-        if ((conflict[v] & mask) == 0) {
+      for (std::size_t s = 0; s < used; ++s)
+        if ((conflict[v] & state.masks[s]) == 0) {
           fits_existing = true;
           break;
         }
@@ -450,18 +571,18 @@ struct SearchFacts {
   std::uint64_t greedy_clique(std::size_t start) const {
     const std::uint64_t all = n == 64 ? ~std::uint64_t{0} : bit_of(n) - 1;
     const std::uint64_t suffix_mask = all & ~(bit_of(start) - 1);
-    std::vector<std::size_t> order;
-    order.reserve(n - start);
-    for (std::size_t v = start; v < n; ++v) order.push_back(v);
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    std::array<std::size_t, kMaxIndexedApps> order{};
+    const auto last = order.begin() + static_cast<std::ptrdiff_t>(n - start);
+    for (std::size_t v = start; v < n; ++v) order[v - start] = v;
+    std::sort(order.begin(), last, [&](std::size_t a, std::size_t b) {
       const int da = __builtin_popcountll(conflict[a] & suffix_mask);
       const int db = __builtin_popcountll(conflict[b] & suffix_mask);
       if (da != db) return da > db;
       return a < b;
     });
     std::uint64_t clique = 0;
-    for (const std::size_t v : order)
-      if ((conflict[v] & clique) == clique) clique |= bit_of(v);
+    for (auto it = order.begin(); it != last; ++it)
+      if ((conflict[*it] & clique) == clique) clique |= bit_of(*it);
     return clique;
   }
 };
@@ -484,7 +605,7 @@ class CountProver {
 
   /// Prove from the root (sequential path).
   void prove() {
-    SearchState state(n_);
+    SearchState state;
     dfs(state, 0);
   }
 
@@ -498,12 +619,10 @@ class CountProver {
  private:
   /// True when some existing slot accepts app i (cheap screens first).
   bool fits_somewhere(const SearchState& state, std::size_t i) {
-    for (std::size_t s = 0; s < state.blocks.size(); ++s) {
+    for (std::size_t s = 0; s < state.slots; ++s) {
       if (state.loads[s] >= 1.0) continue;
       if ((facts_.conflict[i] & state.masks[s]) != 0) continue;
-      candidate_ = state.blocks[s];
-      candidate_.push_back(i);
-      if (engine_.feasible(candidate_)) return true;
+      if (engine_.feasible(state.masks[s] | bit_of(i))) return true;
     }
     return false;
   }
@@ -516,10 +635,10 @@ class CountProver {
     if (cancel_ != nullptr && (visited_ & 31u) == 0 &&
         cancel_->load(std::memory_order_relaxed))
       throw CancelledError("optimal_allocate: bound proving cancelled");
-    if (state.blocks.size() >= incumbent_.load()) return;
+    if (state.slots >= incumbent_.load()) return;
     if (facts_.lower_bound_at(i, state) >= incumbent_.load()) return;
     if (i == n_) {
-      incumbent_.improve(state.blocks.size());
+      incumbent_.improve(state.slots);
       return;
     }
 
@@ -531,35 +650,37 @@ class CountProver {
     // exist, and feasibility does not care about canonical form.)
     if (i + 1 == n_) {
       if (fits_somewhere(state, i))
-        incumbent_.improve(state.blocks.size());
+        incumbent_.improve(state.slots);
       else
-        incumbent_.improve(state.blocks.size() + 1);
+        incumbent_.improve(state.slots + 1);
       return;
     }
 
-    std::vector<std::size_t> order(state.blocks.size());
-    for (std::size_t s = 0; s < order.size(); ++s) order[s] = s;
-    std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
-      if (state.loads[a] != state.loads[b]) return state.loads[a] > state.loads[b];
-      return a < b;
-    });
+    // Best-first order by insertion: slot s enters behind every earlier
+    // slot at least as loaded, which is descending load with ties by index.
+    std::array<std::uint8_t, kMaxIndexedApps> order{};
+    for (std::size_t s = 0; s < state.slots; ++s) {
+      std::size_t pos = s;
+      for (; pos > 0 && state.loads[order[pos - 1]] < state.loads[s]; --pos)
+        order[pos] = order[pos - 1];
+      order[pos] = static_cast<std::uint8_t>(s);
+    }
 
     const double util = facts_.utils[i];
     const std::uint64_t conflicts = facts_.conflict[i];
     const std::size_t s_min =
         facts_.twin[i] == kNoTwin ? 0 : state.slot_of[facts_.twin[i]];
-    for (const std::size_t s : order) {
+    for (std::size_t k = 0, used = state.slots; k < used; ++k) {
+      const std::size_t s = order[k];
       if (s < s_min) continue;              // symmetry: never below the twin
       if (state.loads[s] >= 1.0) continue;  // the newcomer's m would be >= 1
       if ((conflicts & state.masks[s]) != 0) continue;  // conflicting member
-      candidate_ = state.blocks[s];
-      candidate_.push_back(i);
-      if (!engine_.feasible(candidate_)) continue;
+      if (!engine_.feasible(state.masks[s] | bit_of(i))) continue;
       state.push(s, i, util);
       dfs(state, i + 1);
-      state.pop(s, facts_.utils);
+      state.pop(s, i, facts_.utils);
     }
-    if (state.blocks.size() + 1 < incumbent_.load()) {
+    if (state.slots + 1 < incumbent_.load()) {
       state.open(i, util);
       dfs(state, i + 1);
       state.close();
@@ -572,7 +693,6 @@ class CountProver {
   std::size_t n_;
   std::size_t visited_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
-  std::vector<std::size_t> candidate_;
 };
 
 /// A node of the canonical search tree, emitted by expand_frontier for a
@@ -593,35 +713,30 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
                                           const runtime::SharedIncumbent& incumbent,
                                           std::size_t target) {
   std::vector<FrontierNode> frontier;
-  frontier.push_back(FrontierNode{SearchState(facts.n), 0});
-  std::vector<std::size_t> candidate;
+  frontier.push_back(FrontierNode{SearchState{}, 0});
   while (!frontier.empty() && frontier.size() < target &&
          frontier.front().next_app + 2 < facts.n) {
     std::vector<FrontierNode> next;
     next.reserve(frontier.size() * 2);
-    for (auto& node : frontier) {
+    for (const auto& node : frontier) {
       const std::size_t i = node.next_app;
-      SearchState& state = node.state;
-      if (state.blocks.size() >= incumbent.load()) continue;
+      const SearchState& state = node.state;
+      if (state.slots >= incumbent.load()) continue;
       if (facts.lower_bound_at(i, state) >= incumbent.load()) continue;
       const double util = facts.utils[i];
       const std::uint64_t conflicts = facts.conflict[i];
       const std::size_t s_min =
           facts.twin[i] == kNoTwin ? 0 : state.slot_of[facts.twin[i]];
-      for (std::size_t s = 0; s < state.blocks.size(); ++s) {
+      for (std::size_t s = 0; s < state.slots; ++s) {
         if (s < s_min || state.loads[s] >= 1.0 || (conflicts & state.masks[s]) != 0)
           continue;
-        candidate = state.blocks[s];
-        candidate.push_back(i);
-        if (!engine.feasible(candidate)) continue;
-        SearchState child = state;
-        child.push(s, i, util);
-        next.push_back(FrontierNode{std::move(child), i + 1});
+        if (!engine.feasible(state.masks[s] | bit_of(i))) continue;
+        next.push_back(FrontierNode{state, i + 1});
+        next.back().state.push(s, i, util);
       }
-      if (state.blocks.size() + 1 < incumbent.load()) {
-        SearchState child = std::move(state);
-        child.open(i, util);
-        next.push_back(FrontierNode{std::move(child), i + 1});
+      if (state.slots + 1 < incumbent.load()) {
+        next.push_back(FrontierNode{state, i + 1});
+        next.back().state.open(i, util);
       }
     }
     frontier = std::move(next);
@@ -641,8 +756,7 @@ constexpr std::size_t kMinAppsForParallelProve = 10;
 /// subtrees on a ParallelSearch.  The result is the same either way — a
 /// sound branch-and-bound's proven minimum does not depend on the order
 /// in which incumbent improvements arrive.
-std::size_t prove_optimal_count(const std::vector<AppSchedParams>& apps,
-                                SlotFeasibility& engine, const SearchFacts& facts,
+std::size_t prove_optimal_count(SlotFeasibility& engine, const SearchFacts& facts,
                                 std::size_t upper_bound, int jobs,
                                 const std::atomic<bool>* cancel) {
   runtime::SharedIncumbent incumbent(upper_bound);
@@ -654,12 +768,13 @@ std::size_t prove_optimal_count(const std::vector<AppSchedParams>& apps,
   const auto frontier = expand_frontier(engine, facts, incumbent, kFrontierTarget);
   runtime::ParallelSearch search({jobs});
   search.map(frontier.size(), [&](std::size_t t) {
-    // Per-task feasibility engine: the facts are identical (same inputs,
-    // same construction), only the memo is task-private.  A task that
+    // Per-task feasibility engine: a private copy of the root engine,
+    // memo included (the seed's and the frontier's verdicts carry over;
+    // the root engine is only read while the tasks run).  A task that
     // observes the cancel flag throws CancelledError, which map()
     // rethrows after cancelling the pending subtree tasks — the reused
     // interrupt machinery of the parallel search.
-    SlotFeasibility task_engine(apps, facts.method);
+    SlotFeasibility task_engine(engine);
     CountProver prover(task_engine, facts, incumbent, cancel);
     prover.prove_from(frontier[t].state, frontier[t].next_app);
     return prover.visited();
@@ -684,10 +799,10 @@ class WitnessSearch {
   std::vector<std::vector<std::size_t>> find(std::size_t optimal_count) {
     bound_ = optimal_count + 1;
     found_ = false;
-    SearchState state(n_);
+    SearchState state;
     dfs(state, 0);
     CPS_ENSURE(found_, "optimal_allocate: proven count has no witness (internal error)");
-    return result_;
+    return result_.members();
   }
 
  private:
@@ -697,10 +812,10 @@ class WitnessSearch {
     if (cancel_ != nullptr && (visited_ & 31u) == 0 &&
         cancel_->load(std::memory_order_relaxed))
       throw CancelledError("optimal_allocate: witness reconstruction cancelled");
-    if (state.blocks.size() >= bound_) return;
+    if (state.slots >= bound_) return;
     if (facts_.lower_bound_at(i, state) >= bound_) return;
     if (i == n_) {
-      result_ = state.blocks;
+      result_ = state;
       found_ = true;
       return;
     }
@@ -709,16 +824,14 @@ class WitnessSearch {
     const std::uint64_t conflicts = facts_.conflict[i];
     const std::size_t s_min =
         facts_.twin[i] == kNoTwin ? 0 : state.slot_of[facts_.twin[i]];
-    for (std::size_t s = 0; s < state.blocks.size() && !found_; ++s) {
+    for (std::size_t s = 0; s < state.slots && !found_; ++s) {
       if (s < s_min) continue;
       if (state.loads[s] >= 1.0) continue;
       if ((conflicts & state.masks[s]) != 0) continue;
-      candidate_ = state.blocks[s];
-      candidate_.push_back(i);
-      if (!engine_.feasible(candidate_)) continue;
+      if (!engine_.feasible(state.masks[s] | bit_of(i))) continue;
       state.push(s, i, util);
       dfs(state, i + 1);
-      state.pop(s, facts_.utils);
+      state.pop(s, i, facts_.utils);
       // Last-application dominance, canonical form: the first feasible
       // existing slot for the final app IS the canonical-first completion
       // from this node; if it met the bound we are done, and if not, no
@@ -726,7 +839,7 @@ class WitnessSearch {
       if (i + 1 == n_) return;
     }
     if (found_) return;
-    if (state.blocks.size() + 1 < bound_) {
+    if (state.slots + 1 < bound_) {
       state.open(i, util);
       dfs(state, i + 1);
       state.close();
@@ -740,8 +853,7 @@ class WitnessSearch {
   std::size_t visited_ = 0;
   bool found_ = false;
   const std::atomic<bool>* cancel_ = nullptr;
-  std::vector<std::vector<std::size_t>> result_;
-  std::vector<std::size_t> candidate_;
+  SearchState result_;
 };
 
 }  // namespace
@@ -761,42 +873,28 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
   sort_by_priority(apps);
   SlotFeasibility engine(apps, options.method);
 
-  // Interference utilization of a slot's contents, summed in priority
-  // order exactly as the pre-rework slot_load lambda did.
-  auto slot_load = [&engine](const std::vector<std::size_t>& slot) {
-    double load = 0.0;
-    for (std::size_t i : slot) load += engine.facts(i).util;
-    return load;
-  };
-
-  std::vector<std::vector<std::size_t>> slots;
-  std::vector<std::size_t> candidate;
+  HeuristicPartition partition(engine);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     double best_load = -1.0;
-    std::size_t best_slot = slots.size();
-    for (std::size_t s = 0; s < slots.size(); ++s) {
-      candidate = slots[s];
-      candidate.push_back(i);
-      if (!engine.feasible(candidate)) continue;
-      const double load = slot_load(candidate);
+    std::size_t best_slot = partition.size();
+    for (std::size_t s = 0; s < partition.size(); ++s) {
+      if (!partition.accepts(s, i)) continue;
+      // Interference utilization of the candidate slot, summed in
+      // priority order (members, then the newcomer).
+      double load = 0.0;
+      for (std::size_t m : partition.members(s)) load += engine.facts(m).util;
+      load += engine.facts(i).util;
       if (load > best_load) {
         best_load = load;
         best_slot = s;
       }
     }
-    if (best_slot < slots.size()) {
-      // Appending preserves priority order: i outranks nothing already
-      // placed (apps are processed by decreasing priority).
-      slots[best_slot].push_back(i);
-    } else {
-      require_alone_feasible(engine, apps[i], i);
-      slots.push_back({i});
-      if (options.max_slots != 0 && slots.size() > options.max_slots)
-        throw InfeasibleError("slot allocation exceeds the available " +
-                              std::to_string(options.max_slots) + " TT slots");
-    }
+    if (best_slot < partition.size())
+      partition.add(best_slot, i);
+    else
+      partition.open(apps[i], i, options.max_slots);
   }
-  return finalize(materialize(slots, apps), options);
+  return finalize(materialize(partition.release(), apps), options);
 }
 
 Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOptions& options,
@@ -804,7 +902,7 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   CPS_ENSURE(!apps.empty(), "optimal_allocate: need at least one application");
   CPS_ENSURE(apps.size() <= max_apps_for_exact,
              "optimal_allocate: exact search limited to max_apps_for_exact applications");
-  CPS_ENSURE(apps.size() <= 64,
+  CPS_ENSURE(apps.size() <= kMaxIndexedApps,
              "optimal_allocate: exact search limited to 64 applications (bitmask state)");
   sort_by_priority(apps);
   SlotFeasibility engine(apps, options.method);
@@ -813,21 +911,21 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   // The paper's first-fit heuristic seeds the upper bound — and remains
   // the answer whenever the search cannot beat it, exactly as in the
   // reference implementation.
-  const auto seed = first_fit_indices(engine, apps, 0);
+  auto best = first_fit_indices(engine, apps, 0);
+  const std::size_t seed_slots = best.size();
 
   const SearchFacts facts(engine, options.method, apps.size());
-  std::vector<std::vector<std::size_t>> best = seed;
   // Anytime warm start: an achievable count from the caller tightens the
   // initial incumbent below the first-fit seed.  The proven minimum is
   // incumbent-independent, so the result matches a cold run exactly.
-  std::size_t upper = seed.size();
+  std::size_t upper = seed_slots;
   if (options.warm_incumbent != 0 && options.warm_incumbent < upper)
     upper = options.warm_incumbent;
   std::size_t optimal_count = upper;
   if (upper > facts.total_lb)
-    optimal_count = prove_optimal_count(apps, engine, facts, upper, options.exact_jobs,
-                                        options.cancel);
-  if (optimal_count < seed.size())
+    optimal_count =
+        prove_optimal_count(engine, facts, upper, options.exact_jobs, options.cancel);
+  if (optimal_count < seed_slots)
     best = WitnessSearch(engine, facts, options.cancel).find(optimal_count);
 
   if (options.max_slots != 0 && best.size() > options.max_slots)
@@ -847,7 +945,7 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
   CPS_ENSURE(!apps.empty(), "profile_exact_search: need at least one application");
   CPS_ENSURE(apps.size() <= max_apps_for_exact,
              "profile_exact_search: exact search limited to max_apps_for_exact applications");
-  CPS_ENSURE(apps.size() <= 64,
+  CPS_ENSURE(apps.size() <= kMaxIndexedApps,
              "profile_exact_search: exact search limited to 64 applications (bitmask state)");
   using Clock = std::chrono::steady_clock;
   const auto since = [](Clock::time_point start) {
@@ -871,6 +969,9 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
     const runtime::SharedIncumbent expansion_bound(seed.size());
     frontier = expand_frontier(engine, facts, expansion_bound, kFrontierTarget);
   }
+  // The engine the threaded tasks would copy, before the sequential prove
+  // below warms its memo further.
+  const SlotFeasibility frontier_engine = engine;
   profile.setup_seconds = since(setup_start);
 
   profile.optimal_slots = seed.size();
@@ -891,7 +992,7 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
     sequential_runner.map_timed(
         frontier.size(),
         [&](std::size_t t) {
-          SlotFeasibility task_engine(apps, options.method);
+          SlotFeasibility task_engine(frontier_engine);
           CountProver task_prover(task_engine, facts, task_incumbent);
           task_prover.prove_from(frontier[t].state, frontier[t].next_app);
           return task_prover.visited();

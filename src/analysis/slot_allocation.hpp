@@ -99,12 +99,21 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 ///     breaking over interchangeable applications (an application whose
 ///     adjacent priority predecessor is identical never goes into a
 ///     lower-indexed slot than that twin), and (d) last-application
-///     dominance — all on top of a memoized allocation-free
-///     slot-feasibility engine;
+///     dominance;
 ///  2. when the proven optimum improves on the first-fit seed, a canonical
 ///     depth-first pass reconstructs the exact partition the
 ///     pre-optimization search would have returned.
-/// The result is therefore bit-identical to the frozen pre-optimization
+/// Both passes run on a mask-indexed slot-feasibility engine.  Apps are
+/// placed in priority order, so a slot's 64-bit membership mask fully
+/// determines its ordered members: every query is `mask | bit(app)`,
+/// answered from a flat open-addressing mask -> verdict memo or computed
+/// from the mask's set bits in a stack array.  The search state is a
+/// fixed-size array of masks and loads and the best-first slot order is
+/// an insertion sort on the stack, so expanding a node allocates nothing;
+/// a sequential call allocates only for setup, memo growth and the
+/// finalized Allocation (tests/sim_alloc_guard_test.cpp).
+/// Every pruning layer is sound and a verdict is a pure function of the
+/// mask, so the result is bit-identical to the frozen pre-optimization
 /// exhaustive search (optimal_allocate_reference in tests/reference/) for
 /// every input on which the slot analysis completes (asserted by
 /// tests/analysis_golden_test.cpp) and identical at every exact_jobs
@@ -114,7 +123,8 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// raise NumericalError at whichever candidate slot set a search tests
 /// first, and the searches test different sets — so *which* call throws
 /// may differ there.  The exact search additionally requires <= 64
-/// applications (bitmask memo state).
+/// applications (one mask bit each); the heuristics accept more and
+/// check slots without a memo above 64.
 Allocation optimal_allocate(std::vector<AppSchedParams> apps,
                             const AllocationOptions& options = {},
                             std::size_t max_apps_for_exact = 20);

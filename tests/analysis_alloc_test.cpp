@@ -4,11 +4,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "analysis/slot_allocation.hpp"
 #include "plants/table1.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -136,6 +140,98 @@ TEST(AllocationTest, ReportedAnalysesMatchSlotContents) {
     for (std::size_t i = 0; i < alloc.slots[s].size(); ++i)
       EXPECT_EQ(alloc.analyses[s].results[i].name, alloc.slots[s][i]);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Mask boundary: the allocators index slots by a 64-bit membership mask up
+// to 64 applications and fall back to explicit member lists above.  At
+// n = 63, 64 and 65 they must match a naive allocator over analyze_slot
+// exactly — n = 64 puts bit 63 into the masks and the memo hash, n = 65
+// runs the memo-less path.
+
+/// n random applications with light interference (r = 6..30 peak dwells),
+/// so slots hold many members.
+std::vector<AppSchedParams> random_apps(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<AppSchedParams> apps;
+  for (int i = 0; i < n; ++i) {
+    const double xi_tt = rng.uniform(0.3, 1.5);
+    const double xi_m = xi_tt * rng.uniform(1.0, 1.8);
+    const double xi_et = xi_m + rng.uniform(2.0, 6.0);
+    const double k_p = rng.uniform(0.05, 0.4) * xi_et;
+    AppSchedParams app;
+    app.name = "A" + std::to_string(i);
+    app.min_inter_arrival = xi_m * rng.uniform(6.0, 30.0);
+    app.deadline = std::min(app.min_inter_arrival, rng.uniform(0.6, 1.0) * xi_et);
+    app.model = std::make_shared<NonMonotonicModel>(xi_tt, xi_m, k_p, xi_et);
+    apps.push_back(std::move(app));
+  }
+  return apps;
+}
+
+double naive_load(const std::vector<AppSchedParams>& slot) {
+  double load = 0.0;
+  for (const auto& a : slot) load += a.model->max_dwell() / a.min_inter_arrival;
+  return load;
+}
+
+/// The heuristics spelled out over analyze_slot: first fit takes the
+/// first slot that stays schedulable, best fit the schedulable slot with
+/// the highest resulting load (earliest on ties).
+std::vector<std::vector<std::string>> naive_allocate(std::vector<AppSchedParams> apps,
+                                                     MaxWaitMethod method, bool best_fit) {
+  sort_by_priority(apps);
+  std::vector<std::vector<AppSchedParams>> slots;
+  for (const auto& app : apps) {
+    std::size_t chosen = slots.size();
+    double best_load = -1.0;
+    for (std::size_t s = 0; s < slots.size() && (best_fit || chosen == slots.size()); ++s) {
+      auto candidate = slots[s];
+      candidate.push_back(app);
+      if (!analyze_slot(candidate, method).all_schedulable) continue;
+      if (!best_fit || naive_load(candidate) > best_load) {
+        best_load = naive_load(candidate);
+        chosen = s;
+      }
+    }
+    if (chosen < slots.size())
+      slots[chosen].push_back(app);
+    else
+      slots.push_back({app});
+  }
+  std::vector<std::vector<std::string>> names;
+  for (const auto& slot : slots) {
+    names.emplace_back();
+    for (const auto& a : slot) names.back().push_back(a.name);
+  }
+  return names;
+}
+
+void expect_matches_naive_at_mask_boundary(bool best_fit) {
+  for (const MaxWaitMethod method :
+       {MaxWaitMethod::kClosedFormBound, MaxWaitMethod::kFixedPoint}) {
+    for (const int n : {63, 64, 65}) {
+      SCOPED_TRACE("n = " + std::to_string(n));
+      const auto apps = random_apps(n, 0xB17563ULL + static_cast<std::uint64_t>(n));
+      AllocationOptions options;
+      options.method = method;
+      const Allocation alloc =
+          best_fit ? best_fit_allocate(apps, options) : first_fit_allocate(apps, options);
+      const auto expected = naive_allocate(apps, method, best_fit);
+      EXPECT_EQ(alloc.slots, expected);
+      // Every slot query for the lowest-priority application carries the
+      // top bit; shared slots make those queries multi-member masks.
+      EXPECT_LT(alloc.slot_count(), apps.size() / 2);
+    }
+  }
+}
+
+TEST(MaskBoundaryTest, FirstFitMatchesNaiveAt63To65Apps) {
+  expect_matches_naive_at_mask_boundary(false);
+}
+
+TEST(MaskBoundaryTest, BestFitMatchesNaiveAt63To65Apps) {
+  expect_matches_naive_at_mask_boundary(true);
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// Allocation-guard tests for the per-step simulation loops.
+// Allocation-guard tests for the per-step simulation loops and the exact
+// slot allocator's per-node search.
 //
 // This binary replaces the global operator new/new[] with counting
 // wrappers (malloc-backed, so ASan still tracks every block) and asserts
@@ -8,7 +9,10 @@
 // made robust by comparison, not by absolute counts: running the same
 // kernel for N and for 4N steps must allocate the identical number of
 // blocks (the setup cost), so any per-step allocation fails the test by a
-// margin of thousands.
+// margin of thousands.  The exact allocator's branch-and-bound gets a
+// fixed budget instead: its node count is not a knob, but it runs to
+// hundreds of thousands of nodes on the n = 20 proving instance, so one
+// allocation per node overshoots the budget by orders of magnitude.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -16,8 +20,11 @@
 #include <cstdlib>
 #include <new>
 #include <optional>
+#include <utility>
 #include <vector>
 
+#include "analysis/slot_allocation.hpp"
+#include "experiments/fixtures.hpp"
 #include "linalg/batch_kernels.hpp"
 #include "linalg/kernels.hpp"
 #include "linalg/matrix.hpp"
@@ -44,10 +51,24 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
+// std::stable_sort's temporary buffer comes from the nothrow forms; they
+// must count too, and must come from malloc to match the deletes below.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept { std::free(p); }
 
 namespace {
 
@@ -205,6 +226,25 @@ TEST(AllocGuard, InlineMatrixArithmeticNeverTouchesTheHeap) {
     }
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocGuard, ExactSearchAllocatesAFixedBudgetNotPerNode) {
+  const experiments::AllocProvingInstance inst = experiments::alloc_proving_instances().back();
+  ASSERT_EQ(inst.n, 20);
+  std::vector<analysis::AppSchedParams> apps = experiments::alloc_proving_params(inst);
+  // Warm-up (first call may lazily initialize library internals).
+  (void)analysis::optimal_allocate(apps);
+
+  // Setup (facts, first-fit seed, suffix tables), memo growth and the
+  // finalized Allocation; the search itself must add nothing per node.
+  constexpr std::size_t kBudget = 256;
+  std::size_t slots = 0;
+  const std::size_t allocs = allocations_of(
+      [&] { slots = analysis::optimal_allocate(std::move(apps)).slot_count(); });
+  // First fit needs 7 slots here, so both the prove and the witness
+  // reconstruction run inside the measured call.
+  EXPECT_EQ(slots, 6u);
+  EXPECT_LE(allocs, kBudget) << "exact search allocates per node";
 }
 
 }  // namespace
