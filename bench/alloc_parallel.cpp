@@ -21,6 +21,11 @@
 //    these numbers (the incumbent then propagates asynchronously, which
 //    can prune earlier or later than in canonical order).
 //
+// The _optimal_j1 rows also carry two Google-Benchmark-style counters
+// from the profile's sequential prove: sequential_nodes (nodes expanded)
+// and forward_check_prunes (how many of them forward checking cut).
+// Both are deterministic, so they pin the pruning next to the times.
+//
 // Emits Google-Benchmark-compatible JSON on stdout (the fields
 // bench_compare.py reads, including the library_build_type the debug-
 // snapshot gate checks).  Each measurement repeats kIterations times and
@@ -31,6 +36,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/slot_allocation.hpp"
@@ -57,6 +63,8 @@ constexpr int kThreadedJobs[] = {2, 4};
 struct Result {
   std::string name;
   double seconds = 0.0;
+  /// Counters emitted as extra fields of the row (name, value).
+  std::vector<std::pair<std::string, std::size_t>> counters;
 };
 
 std::vector<Result> g_results;
@@ -65,9 +73,10 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
 }
 
-void record(const std::string& name, double seconds) {
+void record(const std::string& name, double seconds,
+            std::vector<std::pair<std::string, std::size_t>> counters = {}) {
   std::fprintf(stderr, "  %-44s %10.2f ms\n", name.c_str(), seconds * 1e3);
-  g_results.push_back(Result{name, seconds});
+  g_results.push_back(Result{name, seconds, std::move(counters)});
 }
 
 }  // namespace
@@ -85,7 +94,7 @@ int main(int argc, char** argv) {
     double sequential = 1e100;
     std::vector<double> threaded(std::size(kThreadedJobs), 1e100);
     std::vector<double> critical(std::size(kJobSweep), 1e100);
-    std::size_t optimal = 0, seed_slots = 0, tasks = 0;
+    std::size_t optimal = 0, seed_slots = 0, tasks = 0, nodes = 0, prunes = 0;
     for (int iteration = 0; iteration < kIterations; ++iteration) {
       const auto start = std::chrono::steady_clock::now();
       const Allocation alloc = optimal_allocate(set);
@@ -111,14 +120,19 @@ int main(int argc, char** argv) {
       optimal = profile.optimal_slots;
       seed_slots = profile.seed_slots;
       tasks = profile.task_seconds.size();
+      nodes = profile.sequential_nodes;
+      prunes = profile.forward_check_prunes;
       for (std::size_t j = 0; j < std::size(kJobSweep); ++j)
         critical[j] = std::min(critical[j], profile.critical_path_seconds(kJobSweep[j]));
     }
 
     const std::string prefix = "alloc_parallel_n" + std::to_string(inst.n);
-    std::fprintf(stderr, "n=%d: first-fit %zu -> optimum %zu, %zu subtree tasks\n", inst.n,
-                 seed_slots, optimal, tasks);
-    record(prefix + "_optimal_j1", sequential);
+    std::fprintf(stderr,
+                 "n=%d: first-fit %zu -> optimum %zu, %zu subtree tasks, sequential prove "
+                 "%zu nodes (%zu forward-check prunes)\n",
+                 inst.n, seed_slots, optimal, tasks, nodes, prunes);
+    record(prefix + "_optimal_j1", sequential,
+           {{"sequential_nodes", nodes}, {"forward_check_prunes", prunes}});
     for (std::size_t j = 0; j < std::size(kThreadedJobs); ++j)
       record(prefix + "_j" + std::to_string(kThreadedJobs[j]) + "_threaded", threaded[j]);
     for (std::size_t j = 0; j < std::size(kJobSweep); ++j)
@@ -143,9 +157,12 @@ int main(int argc, char** argv) {
   std::printf("  \"benchmarks\": [\n");
   for (std::size_t i = 0; i < g_results.size(); ++i) {
     std::printf("    {\"name\": \"%s\", \"run_type\": \"iteration\", "
-                "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"ms\"}%s\n",
+                "\"real_time\": %.3f, \"cpu_time\": %.3f, \"time_unit\": \"ms\"",
                 g_results[i].name.c_str(), g_results[i].seconds * 1e3,
-                g_results[i].seconds * 1e3, i + 1 < g_results.size() ? "," : "");
+                g_results[i].seconds * 1e3);
+    for (const auto& [counter, value] : g_results[i].counters)
+      std::printf(", \"%s\": %zu", counter.c_str(), value);
+    std::printf("}%s\n", i + 1 < g_results.size() ? "," : "");
   }
   std::printf("  ]\n}\n");
   return 0;

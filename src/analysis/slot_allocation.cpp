@@ -61,6 +61,10 @@ std::size_t lowest_bit(std::uint64_t mask) {
   return static_cast<std::size_t>(__builtin_ctzll(mask));
 }
 
+std::size_t highest_bit(std::uint64_t mask) {
+  return 63 - static_cast<std::size_t>(__builtin_clzll(mask));
+}
+
 struct AppFacts {
   double xi_m = 0.0;     // model->max_dwell(), the xi^M of the analysis
   double util = 0.0;     // xi_m / r, one interference-utilization term
@@ -70,36 +74,55 @@ struct AppFacts {
 };
 
 // The Eq. (5) recurrence term is shared with the semantic source:
-// fixed_point_interference_term (analysis/schedulability.hpp).  Both the
-// feasibility engine below and the conflict screen's pair recurrence
-// must evaluate the identical expression for the pair bound to stay a
-// true lower bound of the real feasibility math.
+// fixed_point_interference_term (analysis/schedulability.hpp).  The
+// engine's verdicts and its never-host sets both take their waits from
+// that one expression, so a never-host claim is a claim about the real
+// feasibility math.
 
-/// Slot verdicts keyed by membership mask: linear probing over a
+/// Slot facts keyed by membership mask: linear probing over a
 /// power-of-two table kept at most half full, Fibonacci-hashed on the
 /// high product bits (so bit 63 mixes in like every other).  Key 0 marks
 /// an empty cell — every queried slot has a member, so no real key is 0.
-/// The table allocates on the first insert and then only when it doubles.
+/// A cell carries two payloads, each filled on its own first query: the
+/// feasibility verdict and the never-host set (SlotFeasibility::never_hosts),
+/// whose column is allocated only once a search asks for one.  The table
+/// allocates on the first insert and then only when it doubles.
 class VerdictMemo {
  public:
   /// The memoized verdict of `mask`: 1 feasible, 0 infeasible, -1 unknown.
   int find(std::uint64_t mask) const {
-    if (keys_.empty()) return -1;
-    const std::size_t cell = probe(mask);
-    return keys_[cell] == mask ? verdicts_[cell] : -1;
+    const std::size_t cell = lookup(mask);
+    if (cell == kAbsent || (flags_[cell] & kHasVerdict) == 0) return -1;
+    return (flags_[cell] & kFeasible) != 0 ? 1 : 0;
   }
 
   /// Record the verdict of a mask that find() reported unknown.
   void insert(std::uint64_t mask, bool verdict) {
-    if (2 * (size_ + 1) > keys_.size()) grow();
-    const std::size_t cell = probe(mask);
-    keys_[cell] = mask;
-    verdicts_[cell] = verdict ? 1 : 0;
-    ++size_;
+    flags_[claim(mask)] |= static_cast<std::uint8_t>(kHasVerdict | (verdict ? kFeasible : 0));
+  }
+
+  /// The memoized never-host set of `mask` into `hosts`; false if unknown.
+  bool find_never_hosts(std::uint64_t mask, std::uint64_t& hosts) const {
+    const std::size_t cell = lookup(mask);
+    if (cell == kAbsent || (flags_[cell] & kHasNeverHosts) == 0) return false;
+    hosts = never_hosts_[cell];
+    return true;
+  }
+
+  /// Record the never-host set of a mask that find_never_hosts() missed.
+  void insert_never_hosts(std::uint64_t mask, std::uint64_t hosts) {
+    const std::size_t cell = claim(mask);
+    if (never_hosts_.empty()) never_hosts_.assign(keys_.size(), 0);
+    flags_[cell] |= kHasNeverHosts;
+    never_hosts_[cell] = hosts;
   }
 
  private:
   static constexpr std::size_t kInitialCells = 64;
+  static constexpr std::size_t kAbsent = static_cast<std::size_t>(-1);
+  static constexpr std::uint8_t kHasVerdict = 1;
+  static constexpr std::uint8_t kFeasible = 2;
+  static constexpr std::uint8_t kHasNeverHosts = 4;
 
   std::size_t probe(std::uint64_t mask) const {
     const std::size_t wrap = keys_.size() - 1;
@@ -108,23 +131,48 @@ class VerdictMemo {
     return cell;
   }
 
+  /// The cell holding `mask`, or kAbsent.
+  std::size_t lookup(std::uint64_t mask) const {
+    if (keys_.empty()) return kAbsent;
+    const std::size_t cell = probe(mask);
+    return keys_[cell] == mask ? cell : kAbsent;
+  }
+
+  /// The cell holding `mask`, created (payloads unknown) when absent.
+  std::size_t claim(std::uint64_t mask) {
+    if (keys_.empty()) grow();
+    std::size_t cell = probe(mask);
+    if (keys_[cell] == mask) return cell;
+    if (2 * (size_ + 1) > keys_.size()) {
+      grow();
+      cell = probe(mask);
+    }
+    keys_[cell] = mask;
+    ++size_;
+    return cell;
+  }
+
   void grow() {
     const std::vector<std::uint64_t> old_keys = std::move(keys_);
-    const std::vector<std::uint8_t> old_verdicts = std::move(verdicts_);
+    const std::vector<std::uint8_t> old_flags = std::move(flags_);
+    const std::vector<std::uint64_t> old_never_hosts = std::move(never_hosts_);
     const std::size_t cells = old_keys.empty() ? kInitialCells : 2 * old_keys.size();
     keys_.assign(cells, 0);
-    verdicts_.assign(cells, 0);
+    flags_.assign(cells, 0);
+    if (!old_never_hosts.empty()) never_hosts_.assign(cells, 0);
     shift_ = 64 - static_cast<unsigned>(__builtin_ctzll(cells));
     for (std::size_t c = 0; c < old_keys.size(); ++c) {
       if (old_keys[c] == 0) continue;
       const std::size_t cell = probe(old_keys[c]);
       keys_[cell] = old_keys[c];
-      verdicts_[cell] = old_verdicts[c];
+      flags_[cell] = old_flags[c];
+      if (!old_never_hosts.empty()) never_hosts_[cell] = old_never_hosts[c];
     }
   }
 
   std::vector<std::uint64_t> keys_;
-  std::vector<std::uint8_t> verdicts_;
+  std::vector<std::uint8_t> flags_;
+  std::vector<std::uint64_t> never_hosts_;
   std::size_t size_ = 0;
   unsigned shift_ = 64;
 };
@@ -162,9 +210,7 @@ class SlotFeasibility {
     const int cached = memo_.find(mask);
     if (cached >= 0) return cached != 0;
     std::array<std::size_t, kMaxIndexedApps> members{};
-    std::size_t count = 0;
-    for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
-      members[count++] = lowest_bit(rest);
+    const std::size_t count = members_of(mask, members.data());
     const bool ok = compute(members.data(), count);
     memo_.insert(mask, ok);
     return ok;
@@ -177,54 +223,144 @@ class SlotFeasibility {
     return compute(members.data(), members.size());
   }
 
+  /// The never-host set of a nonzero `mask` (requires indexed()): the
+  /// applications j above max(mask) — lower priority than every member —
+  /// such that NO slot containing the members and j can be feasible.
+  /// Memoized.  j is claimed when, in the slot mask + j, some member's
+  /// interference utilization reaches 1 or some member can no longer
+  /// meet its deadline from its maximum wait on (min_response_from, the
+  /// infimum of the response beyond a wait).  Adding members only grows
+  /// each member's blocking and interference set, hence its utilization
+  /// and wait, so every superset fails too.  Members whose blocking j
+  /// does not raise keep their wait in `mask` and are not re-tested (on
+  /// a feasible mask they claim nothing); a recurrence that does not
+  /// converge claims nothing, so this never throws.
+  std::uint64_t never_hosts(std::uint64_t mask) {
+    std::uint64_t hosts = 0;
+    if (memo_.find_never_hosts(mask, hosts)) return hosts;
+    // Monotone in the mask: j dead for the slot without its last member
+    // stays dead with it, so a known parent set spares those tests.
+    const std::uint64_t parent = mask & ~bit_of(highest_bit(mask));
+    std::uint64_t known = 0;
+    if (parent != 0) memo_.find_never_hosts(parent, known);
+    hosts = compute_never_hosts(mask, known);
+    memo_.insert_never_hosts(mask, hosts);
+    return hosts;
+  }
+
+  /// never_hosts() without the memo; `known` holds apps already known to
+  /// be never-hosted, which are not re-tested.
+  std::uint64_t compute_never_hosts(std::uint64_t mask, std::uint64_t known = 0) const {
+    std::array<std::size_t, kMaxIndexedApps + 1> members;  // [0, count] written below
+    const std::size_t count = members_of(mask, members.data());
+    const std::size_t last = members[count - 1];
+    std::uint64_t hosts = known & ~(bit_of(last) | (bit_of(last) - 1));
+    if (last + 1 == facts_.size()) return hosts;
+
+    // The newcomer sits below every member: no blocking and the whole
+    // slot as interference, so its wait is the same for every j.
+    double k_new = 0.0;
+    const Wait newcomer = max_wait(members.data(), count + 1, count, k_new);
+    // blocking[x]: the blocking member x sees within the mask.
+    std::array<double, kMaxIndexedApps> blocking;
+    blocking[count - 1] = 0.0;
+    for (std::size_t x = count - 1; x-- > 0;)
+      blocking[x] = std::max(blocking[x + 1], facts_[members[x + 1]].xi_m);
+
+    for (std::size_t j = last + 1; j < facts_.size(); ++j) {
+      if ((hosts & bit_of(j)) != 0) continue;
+      const AppFacts& fj = facts_[j];
+      bool dead = newcomer == Wait::kSaturated ||
+                  (newcomer == Wait::kBounded && hopeless(fj, k_new));
+      // blocking[] only shrinks down the slot, so the members whose
+      // blocking j raises are a suffix of it.
+      members[count] = j;
+      for (std::size_t x = count; !dead && x-- > 0 && blocking[x] < fj.xi_m;) {
+        double k_hat = 0.0;
+        const Wait w = max_wait(members.data(), count + 1, x, k_hat);
+        dead = w == Wait::kSaturated ||
+               (w == Wait::kBounded && hopeless(facts_[members[x]], k_hat));
+      }
+      if (dead) hosts |= bit_of(j);
+    }
+    return hosts;
+  }
+
  private:
+  /// Outcome of one member's maximum-wait computation.
+  enum class Wait { kBounded, kSaturated, kDiverged };
+
+  static std::size_t members_of(std::uint64_t mask, std::size_t* members) {
+    std::size_t count = 0;
+    for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
+      members[count++] = lowest_bit(rest);
+    return count;
+  }
+
+  /// Maximum wait k_hat of members[i] in the slot members[0, count), in
+  /// analyze_slot's exact floating-point operation order.  kSaturated: its
+  /// interference utilization reaches 1; kDiverged: the Eq. (5) fixed
+  /// point exceeds the iteration cap.  Keep in sync with
+  /// analysis/schedulability.cpp (the semantic source of this math).
+  Wait max_wait(const std::size_t* members, std::size_t count, std::size_t i,
+                double& k_hat) const {
+    // Blocking a (Eq. 8): largest lower-priority max dwell.
+    double a = 0.0;
+    for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
+    // Interference utilization m (Eq. 19).
+    double m = 0.0;
+    for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
+    if (m >= 1.0) return Wait::kSaturated;
+
+    if (method_ == MaxWaitMethod::kClosedFormBound) {
+      double a_prime = a;
+      for (std::size_t j = 0; j < i; ++j) a_prime += facts_[members[j]].xi_m;
+      k_hat = a_prime / (1.0 - m);
+      return Wait::kBounded;
+    }
+    // Exact fixed point of Eq. (5), identical to max_wait_fixed_point.
+    double k = a;
+    for (std::size_t j = 0; j < i; ++j) k += facts_[members[j]].xi_m;
+    for (int it = 0; it < 10000; ++it) {
+      double next = a;
+      for (std::size_t j = 0; j < i; ++j)
+        next += fixed_point_interference_term(k, facts_[members[j]].r, facts_[members[j]].xi_m);
+      if (std::fabs(next - k) <= 1e-12) {
+        k_hat = next;
+        return Wait::kBounded;
+      }
+      k = next;
+    }
+    return Wait::kDiverged;
+  }
+
   bool compute(const std::size_t* members, std::size_t count) const {
     // Mirrors analyze_slot member by member — including evaluating every
     // member rather than stopping at the first failure, so an exception a
     // later member would raise (fixed-point non-convergence) surfaces
-    // exactly as in the reference path.  Keep in sync with
-    // analysis/schedulability.cpp (the semantic source of this math).
+    // exactly as in the reference path.
     bool all_ok = true;
     for (std::size_t i = 0; i < count; ++i) {
-      // Blocking a (Eq. 8): largest lower-priority max dwell.
-      double a = 0.0;
-      for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
-      // Interference utilization m (Eq. 19).
-      double m = 0.0;
-      for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
-      if (m >= 1.0) return false;  // every lower-priority member fails too
-
-      double k_hat;
-      if (method_ == MaxWaitMethod::kClosedFormBound) {
-        double a_prime = a;
-        for (std::size_t j = 0; j < i; ++j) a_prime += facts_[members[j]].xi_m;
-        k_hat = a_prime / (1.0 - m);
-      } else {
-        // Exact fixed point of Eq. (5), identical to max_wait_fixed_point.
-        double k = a;
-        for (std::size_t j = 0; j < i; ++j) k += facts_[members[j]].xi_m;
-        bool converged = false;
-        for (int it = 0; it < 10000; ++it) {
-          double next = a;
-          for (std::size_t j = 0; j < i; ++j)
-            next += fixed_point_interference_term(k, facts_[members[j]].r,
-                                                  facts_[members[j]].xi_m);
-          if (std::fabs(next - k) <= 1e-12) {
-            k = next;
-            converged = true;
-            break;
-          }
-          k = next;
-        }
-        if (!converged)
+      double k_hat = 0.0;
+      switch (max_wait(members, count, i, k_hat)) {
+        case Wait::kSaturated:
+          return false;  // every lower-priority member fails too
+        case Wait::kDiverged:
           throw NumericalError(
               "max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
-        k_hat = k;
+        case Wait::kBounded:
+          break;
       }
       const double response = k_hat + facts_[members[i]].model->dwell(k_hat);
       if (!(response <= facts_[members[i]].deadline + 1e-12)) all_ok = false;
     }
     return all_ok;
+  }
+
+  /// True when an application can no longer meet its deadline once its
+  /// maximum wait is at least `wait`.
+  static bool hopeless(const AppFacts& f, double wait) {
+    return f.model->min_response_from(wait) > f.deadline + 1e-12;
   }
 
   MaxWaitMethod method_;
@@ -322,13 +458,14 @@ std::vector<std::vector<AppSchedParams>> materialize(
 // ---------------------------------------------------------------------------
 // Branch-and-bound machinery for optimal_allocate.
 //
-// Four pruning layers sit on top of the feasibility engine; each is SOUND
+// Five pruning layers sit on top of the feasibility engine; each is SOUND
 // (it never excludes every optimal partition, and in the witness pass it
 // never excludes the canonical-first witness), so the proven count and
 // the returned partition stay bit-identical to the reference search:
 //
 //  * Conflict pairs: (i, j) such that NO slot containing both can be
-//    feasible.  The screen rests on monotone wait growth — adding slot
+//    feasible — j in the never-host set of the singleton {i}.  The
+//    screen rests on monotone wait growth — adding slot
 //    members only grows blocking and interference, so each member's
 //    maximum wait in a superset slot is at least its wait in the pair —
 //    plus DwellWaitModel::min_response_from, a sound infimum of the
@@ -358,12 +495,42 @@ std::vector<std::vector<AppSchedParams>> materialize(
 //  * Conflict-clique bound: a greedy clique among the remaining
 //    applications needs pairwise-distinct slots; members conflicting
 //    with every existing slot need that many NEW slots.
+//  * Forward checking: the conflict-pair screen generalised from a pair
+//    to a whole slot.  never_hosts(M) holds every j above max(M) for
+//    which no superset of M + j can be feasible (the same monotone-wait
+//    and min_response_from argument: some member's utilization reaches
+//    1, or some member — j included — misses its deadline from its wait
+//    in M + j on).  Open slots only grow, and never_hosts(M + x) contains
+//    never_hosts(M) above x, so an unplaced app in every open slot's set
+//    can only go into a NEW slot.  At a node that may open no further
+//    slot (slots + 1 = bound) such a homeless app leaves no completion
+//    below the bound, and the node is pruned.  Nodes with room for more
+//    slots are not checked: a greedy clique of homeless apps needing
+//    all the remaining room pruned 0.07 % more nodes on the
+//    sweep_alloc_scaling instances than the check at slots + 1 = bound
+//    alone, for more never-host evaluations.  A recurrence that does not
+//    converge claims nothing, so the screen never throws where the
+//    search would not.
+//
+// Forward checking prunes the two searches only.  The root lower bound
+// and the frontier expansion keep the other four layers: both are
+// reported (sweep_alloc_parallel.csv, the profile's task count), and a
+// screen that changed them would change those reports without changing
+// any Allocation.
 //
 // The search state is fixed-size (one membership mask and one load per
 // slot), so expanding a node touches no heap: slot orders are built on
 // the stack and every feasibility query is a mask lookup.
 
 constexpr std::size_t kNoTwin = static_cast<std::size_t>(-1);
+
+/// Forward checking pays from this size on.  Measured in Release on a
+/// 4-vCPU VM: on random allocator-ablation instances it proves n = 14
+/// ~25 % faster, breaks even at n = 12 and costs ~14 % at n = 10; on the
+/// n = 10..12 instances of sweep_flexray_params (~100 nodes a search)
+/// evaluating the never-host sets costs ~8 % more than the nodes it
+/// saves.
+constexpr std::size_t kMinAppsForForwardCheck = 13;
 
 /// Shared search state for the branch-and-bound passes.  Note that a
 /// partial partition is reachable by exactly one choice sequence (apps are
@@ -416,7 +583,6 @@ struct SearchState {
 /// masks, greedy conflict cliques per suffix, and twins.
 struct SearchFacts {
   std::size_t n = 0;
-  MaxWaitMethod method = MaxWaitMethod::kClosedFormBound;
   std::vector<double> utils;                    ///< facts(i).util, index order
   std::vector<double> suffix_util;              ///< sum of utils over apps [i, n)
   std::vector<double> suffix_max;               ///< max util over apps [i, n)
@@ -425,9 +591,10 @@ struct SearchFacts {
   std::vector<std::uint64_t> clique_suffix;     ///< greedy conflict clique within [i, n)
   std::vector<std::size_t> twin;                ///< adjacent interchangeable predecessor
   std::size_t total_lb = 1;                     ///< root lower bound on the slot count
+  bool forward_check = false;                   ///< run pruning layer (e)
 
-  SearchFacts(const SlotFeasibility& engine, MaxWaitMethod wait_method, std::size_t count)
-      : n(count), method(wait_method) {
+  SearchFacts(const SlotFeasibility& engine, std::size_t count)
+      : n(count), forward_check(count >= kMinAppsForForwardCheck) {
     utils.reserve(n);
     for (std::size_t i = 0; i < n; ++i) utils.push_back(engine.facts(i).util);
 
@@ -449,13 +616,15 @@ struct SearchFacts {
       for (std::size_t e = 0; e < n - i; ++e) row[e + 1] = row[e] + desc[e];
     }
 
+    // A pair conflicts when the singleton slot of its higher-priority
+    // member never hosts the other.
     conflict.assign(n, 0);
-    for (std::size_t j = 1; j < n; ++j)
-      for (std::size_t i = 0; i < j; ++i)
-        if (never_share(engine, i, j)) {
-          conflict[i] |= bit_of(j);
-          conflict[j] |= bit_of(i);
-        }
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::uint64_t below = engine.compute_never_hosts(bit_of(i));
+      conflict[i] |= below;
+      for (std::uint64_t rest = below; rest != 0; rest &= rest - 1)
+        conflict[lowest_bit(rest)] |= bit_of(i);
+    }
 
     clique_suffix.assign(n + 1, 0);
     for (std::size_t i = 0; i < n; ++i) clique_suffix[i] = greedy_clique(i);
@@ -530,53 +699,22 @@ struct SearchFacts {
     return std::max(packing, used + need_new);
   }
 
- private:
-  /// True when i and j (i higher priority) provably cannot share ANY
-  /// feasible slot.  Sound under both wait methods: a superset slot only
-  /// grows each member's maximum wait beyond the pair's, and
-  /// min_response_from bounds the response from below beyond that wait.
-  bool never_share(const SlotFeasibility& engine, std::size_t i, std::size_t j) const {
-    const AppFacts& hi = engine.facts(i);
-    const AppFacts& lo = engine.facts(j);
-    // The lower-priority member's interference utilization alone: m >= 1
-    // fails the slot outright in compute().
-    if (hi.util >= 1.0) return true;
-    // i's side: with j anywhere below it, i's blocking is at least xi_M_j.
-    if (hi.model->min_response_from(lo.xi_m) > hi.deadline + 1e-12) return true;
-    // j's side: with i anywhere above it, j's wait is at least the pair's
-    // k_hat (monotone in blocking and interference set for both methods).
-    double k_min = 0.0;
-    if (method == MaxWaitMethod::kClosedFormBound) {
-      k_min = hi.xi_m / (1.0 - hi.util);
-    } else {
-      double k = hi.xi_m;  // the pair's critical-instant seed
-      bool converged = false;
-      for (int it = 0; it < 10000; ++it) {
-        const double next = fixed_point_interference_term(k, hi.r, hi.xi_m);  // a = 0
-        if (std::fabs(next - k) <= 1e-12) {
-          k = next;
-          converged = true;
-          break;
-        }
-        k = next;
-      }
-      if (!converged) return false;  // conservative: claim nothing
-      k_min = k;
-    }
-    return lo.model->min_response_from(k_min) > lo.deadline + 1e-12;
+  /// Apps [i, n) as a mask.
+  std::uint64_t suffix_mask(std::size_t i) const {
+    const std::uint64_t all = n == 64 ? ~std::uint64_t{0} : bit_of(n) - 1;
+    return all & ~(bit_of(i) - 1);
   }
 
   /// Deterministic greedy clique in the conflict graph restricted to
   /// [start, n): vertices by descending suffix degree, ties by index.
   std::uint64_t greedy_clique(std::size_t start) const {
-    const std::uint64_t all = n == 64 ? ~std::uint64_t{0} : bit_of(n) - 1;
-    const std::uint64_t suffix_mask = all & ~(bit_of(start) - 1);
+    const std::uint64_t suffix = suffix_mask(start);
     std::array<std::size_t, kMaxIndexedApps> order{};
     const auto last = order.begin() + static_cast<std::ptrdiff_t>(n - start);
     for (std::size_t v = start; v < n; ++v) order[v - start] = v;
     std::sort(order.begin(), last, [&](std::size_t a, std::size_t b) {
-      const int da = __builtin_popcountll(conflict[a] & suffix_mask);
-      const int db = __builtin_popcountll(conflict[b] & suffix_mask);
+      const int da = __builtin_popcountll(conflict[a] & suffix);
+      const int db = __builtin_popcountll(conflict[b] & suffix);
       if (da != db) return da > db;
       return a < b;
     });
@@ -586,6 +724,17 @@ struct SearchFacts {
     return clique;
   }
 };
+
+/// Pruning layer (e), forward checking, at a node that may open no
+/// further slot: true when some unplaced app in [i, n) has no open slot
+/// that can ever host it.
+bool has_homeless_app(SlotFeasibility& engine, const SearchFacts& facts,
+                      const SearchState& state, std::size_t i) {
+  std::uint64_t homeless = facts.suffix_mask(i);
+  for (std::size_t s = 0; s < state.slots && homeless != 0; ++s)
+    homeless &= engine.never_hosts(state.masks[s]);
+  return homeless != 0;
+}
 
 /// Phase 1: prove the optimal slot count.  Explores existing slots
 /// best-first (descending interference load, ties by index) so tight
@@ -615,6 +764,8 @@ class CountProver {
 
   /// Nodes this prover expanded (diagnostics only).
   std::size_t visited() const { return visited_; }
+  /// Of those, nodes pruned by forward checking (diagnostics only).
+  std::size_t forward_check_prunes() const { return forward_check_prunes_; }
 
  private:
   /// True when some existing slot accepts app i (cheap screens first).
@@ -655,6 +806,11 @@ class CountProver {
         incumbent_.improve(state.slots + 1);
       return;
     }
+    if (facts_.forward_check && state.slots + 1 >= incumbent_.load() &&
+        has_homeless_app(engine_, facts_, state, i)) {
+      ++forward_check_prunes_;
+      return;
+    }
 
     // Best-first order by insertion: slot s enters behind every earlier
     // slot at least as loaded, which is descending load with ties by index.
@@ -692,6 +848,7 @@ class CountProver {
   runtime::SharedIncumbent& incumbent_;
   std::size_t n_;
   std::size_t visited_ = 0;
+  std::size_t forward_check_prunes_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
 };
 
@@ -819,6 +976,9 @@ class WitnessSearch {
       found_ = true;
       return;
     }
+    if (facts_.forward_check && state.slots + 1 >= bound_ &&
+        has_homeless_app(engine_, facts_, state, i))
+      return;
 
     const double util = facts_.utils[i];
     const std::uint64_t conflicts = facts_.conflict[i];
@@ -914,7 +1074,7 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   auto best = first_fit_indices(engine, apps, 0);
   const std::size_t seed_slots = best.size();
 
-  const SearchFacts facts(engine, options.method, apps.size());
+  const SearchFacts facts(engine, apps.size());
   // Anytime warm start: an achievable count from the caller tightens the
   // initial incumbent below the first-fit seed.  The proven minimum is
   // incumbent-independent, so the result matches a cold run exactly.
@@ -932,6 +1092,15 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
     throw InfeasibleError("optimal allocation still exceeds the available " +
                           std::to_string(options.max_slots) + " TT slots");
   return finalize(materialize(best, apps), options);
+}
+
+std::uint64_t never_host_set(const std::vector<AppSchedParams>& apps, std::uint64_t mask,
+                             MaxWaitMethod method) {
+  CPS_ENSURE(apps.size() <= kMaxIndexedApps,
+             "never_host_set: at most 64 applications (bitmask state)");
+  CPS_ENSURE(mask != 0 && (apps.size() == kMaxIndexedApps || (mask >> apps.size()) == 0),
+             "never_host_set: mask must name at least one of the applications");
+  return SlotFeasibility(apps, method).compute_never_hosts(mask);
 }
 
 double ExactSearchProfile::critical_path_seconds(int jobs) const {
@@ -960,7 +1129,7 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
   SlotFeasibility engine(apps, options.method);
   for (std::size_t i = 0; i < apps.size(); ++i) require_alone_feasible(engine, apps[i], i);
   const auto seed = first_fit_indices(engine, apps, 0);
-  const SearchFacts facts(engine, options.method, apps.size());
+  const SearchFacts facts(engine, apps.size());
   profile.seed_slots = seed.size();
   profile.root_lower_bound = facts.total_lb;
   const bool search_needed = seed.size() > facts.total_lb;
@@ -982,6 +1151,8 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
     CountProver prover(engine, facts, incumbent);
     prover.prove();
     profile.sequential_seconds = since(prove_start);
+    profile.sequential_nodes = prover.visited();
+    profile.forward_check_prunes = prover.forward_check_prunes();
     profile.optimal_slots = incumbent.load();
 
     // The parallel decomposition, run one subtree at a time with per-task

@@ -10,6 +10,7 @@
 
 #include <atomic>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "analysis/schedulability.hpp"
@@ -98,8 +99,10 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 ///     that provably can never share a slot), (c) canonical symmetry
 ///     breaking over interchangeable applications (an application whose
 ///     adjacent priority predecessor is identical never goes into a
-///     lower-indexed slot than that twin), and (d) last-application
-///     dominance;
+///     lower-indexed slot than that twin), (d) last-application
+///     dominance, and (e) forward checking from 13 applications on: at a
+///     node that may open no further slot, an unplaced application that
+///     no open slot can ever host (never_host_set) prunes the node;
 ///  2. when the proven optimum improves on the first-fit seed, a canonical
 ///     depth-first pass reconstructs the exact partition the
 ///     pre-optimization search would have returned.
@@ -129,6 +132,15 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps,
                             const AllocationOptions& options = {},
                             std::size_t max_apps_for_exact = 20);
 
+/// The forward-checking screen of optimal_allocate, exposed for its
+/// soundness test: the applications j above max(mask) — indices into
+/// `apps`, which must already be in priority order (sort_by_priority) —
+/// such that NO slot containing the members of `mask` and j can be
+/// feasible under `method`.  Requires at most 64 applications and a
+/// nonzero mask within them; never throws NumericalError.
+std::uint64_t never_host_set(const std::vector<AppSchedParams>& apps, std::uint64_t mask,
+                             MaxWaitMethod method = MaxWaitMethod::kClosedFormBound);
+
 /// Strong-scaling profile of one exact search, for the alloc_parallel
 /// bench and the sweep_alloc_parallel experiment: times the sequential
 /// bound-proving pass, then re-proves through the parallel decomposition
@@ -143,6 +155,8 @@ struct ExactSearchProfile {
   std::size_t seed_slots = 0;        ///< first-fit upper bound
   std::size_t root_lower_bound = 0;  ///< root lower bound (util/packing/clique max)
   double sequential_seconds = 0.0;   ///< jobs=1 bound-proving wall time
+  std::size_t sequential_nodes = 0;  ///< nodes the jobs=1 bound-proving pass expanded
+  std::size_t forward_check_prunes = 0;  ///< of those, nodes cut by forward checking
   double setup_seconds = 0.0;        ///< facts + seed + frontier expansion
   double witness_seconds = 0.0;      ///< canonical witness reconstruction
   std::vector<double> task_seconds;  ///< per-subtree wall, canonical order

@@ -1,12 +1,14 @@
-// Tests for the parallel exact slot allocator (the PR-5 search layers):
-// permutation invariance of the proven optimum, exact_jobs determinism
-// (j1 vs j8 byte-identical Allocation), symmetry breaking on
-// interchangeable applications, the conflict-screen model helpers, and
-// the strong-scaling profile's consistency with the real search.
+// Tests for the exact slot allocator's search layers: permutation
+// invariance of the proven optimum, exact_jobs determinism (j1 vs j8
+// byte-identical Allocation), symmetry breaking on interchangeable
+// applications, the conflict-screen model helpers, the soundness of the
+// forward-checking never-host screen, and the strong-scaling profile's
+// consistency with the real search.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <random>
 #include <vector>
@@ -206,6 +208,175 @@ TEST(ParallelAllocTest, SameCurveDistinguishesParameters) {
   EXPECT_TRUE(hull_a.same_curve(hull_b));   // identical hulls, distinct objects
   EXPECT_FALSE(hull_a.same_curve(hull_c));  // different peak vertex
   EXPECT_FALSE(hull_a.same_curve(*a));      // different family
+}
+
+/// A random instance in one of the four model families the allocator
+/// sees: the allocator-ablation tents as drawn, re-expressed as the
+/// conservative or simple monotonic model, or as the concave envelope of
+/// a jittered sampling of the tent.
+std::vector<AppSchedParams> family_instance(Rng& rng, int n, int family,
+                                            const experiments::RandomAppRanges& ranges) {
+  auto apps = experiments::random_sched_params(rng, n, ranges);
+  for (auto& app : apps) {
+    const auto* tent = dynamic_cast<const NonMonotonicModel*>(app.model.get());
+    switch (family) {
+      case 1:
+        app.model = std::make_shared<ConservativeMonotonicModel>(tent->xi_m(), tent->zero_wait());
+        break;
+      case 2:
+        app.model = std::make_shared<SimpleMonotonicModel>(tent->xi_tt(), tent->zero_wait());
+        break;
+      case 3: {
+        constexpr std::size_t kSamples = 12;
+        const double h = tent->zero_wait() / static_cast<double>(kSamples);
+        std::vector<sim::DwellWaitPoint> points;
+        for (std::size_t k = 0; k <= kSamples; ++k) {
+          sim::DwellWaitPoint p;
+          p.wait_steps = k;
+          p.wait_s = static_cast<double>(k) * h;
+          p.dwell_s = tent->dwell(p.wait_s) * rng.uniform(0.7, 1.0);
+          p.dwell_steps = static_cast<std::size_t>(p.dwell_s / h);
+          points.push_back(p);
+        }
+        app.model =
+            std::make_shared<ConcaveEnvelopeModel>(sim::DwellWaitCurve(h, std::move(points)));
+        break;
+      }
+      default:
+        break;  // the tent as drawn
+    }
+  }
+  return apps;
+}
+
+/// Allocator-ablation tents with inter-arrival times a small multiple of
+/// the peak dwell, so interference utilizations reach towards 1.
+experiments::RandomAppRanges near_saturation_ranges() {
+  auto ranges = experiments::allocator_ablation_ranges();
+  ranges.r_factor_lo = 1.2;
+  ranges.r_factor_hi = 5.0;
+  return ranges;
+}
+
+TEST(ParallelAllocTest, NeverHostScreenRejectsEverySuperset) {
+  // Exhaustive soundness of the forward-checking screen: for every slot
+  // mask M and every j it claims, analyze_slot must reject every slot
+  // that contains M and j (a NumericalError counts as a rejection: such
+  // a slot is never accepted either).
+  Rng rng(0xF0C4EC4ULL);
+  std::size_t claims = 0, beyond_pairs = 0;
+  for (const auto method : {MaxWaitMethod::kClosedFormBound, MaxWaitMethod::kFixedPoint}) {
+    for (int family = 0; family < 4; ++family) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const int n = 7 + trial;  // sizes 7..10
+        auto apps = family_instance(
+            rng, n, family,
+            trial % 2 == 0 ? experiments::allocator_ablation_ranges() : near_saturation_ranges());
+        sort_by_priority(apps);
+        const std::uint64_t all = (std::uint64_t{1} << n) - 1;
+        std::vector<bool> feasible(all + 1, false);
+        for (std::uint64_t slot = 1; slot <= all; ++slot) {
+          std::vector<AppSchedParams> members;
+          for (int k = 0; k < n; ++k)
+            if ((slot >> k) & 1) members.push_back(apps[static_cast<std::size_t>(k)]);
+          try {
+            feasible[slot] = analyze_slot(std::move(members), method).all_schedulable;
+          } catch (const NumericalError&) {
+          }
+        }
+        std::vector<std::uint64_t> pair_never(static_cast<std::size_t>(n));
+        for (int i = 0; i < n; ++i)
+          pair_never[static_cast<std::size_t>(i)] =
+              never_host_set(apps, std::uint64_t{1} << i, method);
+        for (std::uint64_t mask = 1; mask <= all; ++mask) {
+          const std::uint64_t never = never_host_set(apps, mask, method);
+          const int top = 63 - __builtin_clzll(mask);
+          EXPECT_EQ(never & ((std::uint64_t{2} << top) - 1), 0u) << "claims an app above max(M)";
+          std::uint64_t by_pairs = 0;
+          for (int i = 0; i <= top; ++i)
+            if ((mask >> i) & 1) by_pairs |= pair_never[static_cast<std::size_t>(i)];
+          for (int j = top + 1; j < n; ++j) {
+            if (((never >> j) & 1) == 0) continue;
+            ++claims;
+            if (((by_pairs >> j) & 1) == 0) ++beyond_pairs;
+            const std::uint64_t core = mask | (std::uint64_t{1} << j);
+            for (std::uint64_t slot = core;; slot = (slot + 1) | core) {
+              EXPECT_FALSE(feasible[slot]) << "method " << static_cast<int>(method)
+                                           << " family " << family << " mask " << mask
+                                           << " app " << j << " slot " << slot;
+              if (slot == all) break;
+            }
+          }
+        }
+      }
+    }
+  }
+  // The screen must be non-vacuous, and claim more than the pair screen.
+  EXPECT_GT(claims, 1000u);
+  EXPECT_GT(beyond_pairs, 100u);
+}
+
+TEST(ParallelAllocTest, ForwardCheckedSearchMatchesReference) {
+  // Differential against the frozen exhaustive search at n = 10..14 under
+  // both wait methods, including fixed-point instances with interference
+  // utilization near 1: the screen never throws, so optimal_allocate may
+  // raise NumericalError only where the reference raises it too.
+  Rng rng(0xD1FFC4ECULL);
+  int compared = 0, trials = 0;
+  std::size_t forward_check_prunes = 0;
+  for (const auto method : {MaxWaitMethod::kClosedFormBound, MaxWaitMethod::kFixedPoint}) {
+    for (int trial = 0; trial < 110; ++trial, ++trials) {
+      const int n = 10 + trial % 5;
+      const auto ranges = trial % 3 == 2 ? near_saturation_ranges()
+                                         : experiments::allocator_ablation_ranges();
+      const auto set = family_instance(rng, n, trial % 4, ranges);
+      AllocationOptions options;
+      options.method = method;
+      enum class Outcome { kAllocated, kInfeasible, kNumerical };
+      Allocation optimized, reference;
+      const auto run = [&](auto&& allocate, Allocation& out) {
+        try {
+          out = allocate();
+          return Outcome::kAllocated;
+        } catch (const InfeasibleError&) {
+          return Outcome::kInfeasible;
+        } catch (const NumericalError&) {
+          return Outcome::kNumerical;
+        }
+      };
+      const Outcome ours = run([&] { return optimal_allocate(set, options); }, optimized);
+      const Outcome ref =
+          run([&] { return optimal_allocate_reference(set, options, 14); }, reference);
+      if (ours == Outcome::kNumerical) {
+        EXPECT_EQ(ref, Outcome::kNumerical) << "trial " << trial;
+      } else if (ref != Outcome::kNumerical) {
+        ASSERT_EQ(ours, ref) << "trial " << trial;
+        if (ours == Outcome::kAllocated) {
+          expect_same_allocation(optimized, reference);
+          ++compared;
+          if (n >= 13)
+            forward_check_prunes += profile_exact_search(set, options).forward_check_prunes;
+        }
+      }
+    }
+  }
+  EXPECT_GE(trials, 200);
+  EXPECT_GE(compared, 150);
+  EXPECT_GT(forward_check_prunes, 0u) << "the n >= 13 instances never reach the check";
+}
+
+TEST(ParallelAllocTest, ForwardCheckKeepsTheTwentyAppProveSmall) {
+  // Regression pin on the work of the sequential prove of the n = 20
+  // proving instance: 404 195 nodes without forward checking, 98 529
+  // with it (41 525 of them cut by the check).  The bound leaves
+  // headroom but fails loudly if the screen stops pruning.
+  const auto inst = experiments::alloc_proving_instances().back();
+  ASSERT_EQ(inst.n, 20);
+  const ExactSearchProfile profile =
+      profile_exact_search(experiments::alloc_proving_params(inst));
+  EXPECT_GT(profile.forward_check_prunes, 0u);
+  EXPECT_LE(profile.forward_check_prunes, profile.sequential_nodes);
+  EXPECT_LE(profile.sequential_nodes, 150000u);
 }
 
 TEST(ParallelAllocTest, ProfileAgreesWithTheRealSearch) {
