@@ -1,25 +1,20 @@
-// Strong-scaling bench of the parallel exact slot allocator.
+// Strong-scaling bench of the exact slot allocator.
 //
-// Times three things on the fixed proving instances also used by the
+// Times two things on the fixed proving instances also used by the
 // sweep_alloc_parallel experiment (src/experiments/sweep_alloc_parallel.cpp):
 //
 //  * alloc_parallel_n{18,20}_optimal_j1 — the full sequential
 //    optimal_allocate wall-clock (setup + bound proving + witness), the
 //    honest single-core baseline;
-//  * alloc_parallel_n{18,20}_j{2,4}_threaded — the full optimal_allocate
-//    wall-clock with exact_jobs = j, the real threaded fan-out.  Only
-//    meaningful on a host with at least j idle cores; on fewer cores the
-//    workers time-share and the row measures the oversubscription;
 //  * alloc_parallel_n{18,20}_j{1,2,4,8}_critical_path — the wall-clock
-//    the parallel decomposition reaches on j dedicated cores:
-//    profile_exact_search times every frontier subtree task sequentially
-//    (shared-incumbent updates in canonical order) and greedy list
-//    scheduling computes the j-core makespan.  Like
-//    bench/campaign_scaling.cpp's sharded critical paths, this is
-//    core-count-independent and reproducible on the single-core CI
-//    container; on real j-core hardware the threaded search approaches
-//    these numbers (the incumbent then propagates asynchronously, which
-//    can prune earlier or later than in canonical order).
+//    the frontier subtree decomposition would reach on j dedicated
+//    cores: profile_exact_search times every subtree task sequentially
+//    (incumbent updates in canonical order) and greedy list scheduling
+//    computes the j-core makespan.  Like bench/campaign_scaling.cpp's
+//    sharded critical paths, this is core-count-independent and
+//    reproducible on the single-core CI container.  The allocator
+//    itself proves on one thread; a threaded prove could pay only where
+//    these rows fall below the _optimal_j1 row.
 //
 // The _optimal_j1 rows also carry two Google-Benchmark-style counters
 // from the profile's sequential prove: sequential_nodes (nodes expanded)
@@ -57,9 +52,6 @@ constexpr int kMinBenchedN = 18;
 
 constexpr int kJobSweep[] = {1, 2, 4, 8};
 
-/// exact_jobs values timed through the real threaded search.
-constexpr int kThreadedJobs[] = {2, 4};
-
 struct Result {
   std::string name;
   double seconds = 0.0;
@@ -92,25 +84,12 @@ int main(int argc, char** argv) {
     const auto set = experiments::alloc_proving_params(inst);
 
     double sequential = 1e100;
-    std::vector<double> threaded(std::size(kThreadedJobs), 1e100);
     std::vector<double> critical(std::size(kJobSweep), 1e100);
     std::size_t optimal = 0, seed_slots = 0, tasks = 0, nodes = 0, prunes = 0;
     for (int iteration = 0; iteration < kIterations; ++iteration) {
       const auto start = std::chrono::steady_clock::now();
       const Allocation alloc = optimal_allocate(set);
       sequential = std::min(sequential, seconds_since(start));
-
-      for (std::size_t j = 0; j < std::size(kThreadedJobs); ++j) {
-        AllocationOptions options;
-        options.exact_jobs = kThreadedJobs[j];
-        const auto threaded_start = std::chrono::steady_clock::now();
-        const Allocation parallel = optimal_allocate(set, options);
-        threaded[j] = std::min(threaded[j], seconds_since(threaded_start));
-        if (parallel.slots != alloc.slots) {
-          std::fprintf(stderr, "alloc_parallel: Allocation depends on exact_jobs\n");
-          return 1;
-        }
-      }
 
       const ExactSearchProfile profile = profile_exact_search(set);
       if (profile.optimal_slots != alloc.slot_count()) {
@@ -133,8 +112,6 @@ int main(int argc, char** argv) {
                  inst.n, seed_slots, optimal, tasks, nodes, prunes);
     record(prefix + "_optimal_j1", sequential,
            {{"sequential_nodes", nodes}, {"forward_check_prunes", prunes}});
-    for (std::size_t j = 0; j < std::size(kThreadedJobs); ++j)
-      record(prefix + "_j" + std::to_string(kThreadedJobs[j]) + "_threaded", threaded[j]);
     for (std::size_t j = 0; j < std::size(kJobSweep); ++j)
       record(prefix + "_j" + std::to_string(kJobSweep[j]) + "_critical_path", critical[j]);
     std::fprintf(stderr, "  j8-vs-j1 critical-path speedup: %.2fx\n\n",

@@ -8,7 +8,6 @@
 #include <functional>
 #include <utility>
 
-#include "runtime/parallel_search.hpp"
 #include "util/error.hpp"
 
 namespace cps::analysis {
@@ -579,7 +578,7 @@ struct SearchState {
 };
 
 /// Precomputed instance facts shared (read-only) by every search pass and
-/// every parallel subtree task: utilizations, suffix tables, conflict
+/// every subtree task: utilizations, suffix tables, conflict
 /// masks, greedy conflict cliques per suffix, and twins.
 struct SearchFacts {
   std::size_t n = 0;
@@ -736,32 +735,56 @@ bool has_homeless_app(SlotFeasibility& engine, const SearchFacts& facts,
   return homeless != 0;
 }
 
+/// Lowest slot app i may join under the symmetry rule: its twin's slot,
+/// or 0 when i has no twin.
+std::size_t twin_floor(const SearchFacts& facts, const SearchState& state, std::size_t i) {
+  return facts.twin[i] == kNoTwin ? 0 : state.slot_of[facts.twin[i]];
+}
+
+/// The child screen every pass applies before placing app i into open
+/// slot s: the twin floor, a load that would leave the newcomer's m at
+/// 1 or more, a conflicting member, and only then the memoized
+/// feasibility verdict of the grown slot.
+bool may_join(SlotFeasibility& engine, const SearchFacts& facts, const SearchState& state,
+              std::size_t s, std::size_t i, std::size_t s_min) {
+  if (s < s_min) return false;
+  if (state.loads[s] >= 1.0) return false;
+  if ((facts.conflict[i] & state.masks[s]) != 0) return false;
+  return engine.feasible(state.masks[s] | bit_of(i));
+}
+
+/// Cooperative cancellation: a relaxed flag poll every 32 nodes keeps the
+/// check off the profile while bounding the latency between a deadline
+/// expiring and the search abandoning (node cost times 32).
+void poll_cancel(const std::atomic<bool>* cancel, std::size_t visited, const char* what) {
+  if (cancel != nullptr && (visited & 31u) == 0 && cancel->load(std::memory_order_relaxed))
+    throw CancelledError(what);
+}
+
 /// Phase 1: prove the optimal slot count.  Explores existing slots
 /// best-first (descending interference load, ties by index) so tight
 /// packings — and therefore tight upper bounds — are found early; prunes
-/// with the lower-bound table, the conflict/symmetry screens and
-/// last-application dominance.  Only the count is tracked — through a
-/// monotone SharedIncumbent, so top-level subtrees can run concurrently
-/// (the proven minimum is schedule-independent); the witness partition is
-/// reconstructed by phase 2.
+/// with the lower-bound table, the conflict/symmetry screens, forward
+/// checking and last-application dominance.  Only the count is tracked;
+/// the witness partition is reconstructed by phase 2.
 class CountProver {
  public:
-  CountProver(SlotFeasibility& engine, const SearchFacts& facts,
-              runtime::SharedIncumbent& incumbent,
+  /// `incumbent` is an achievable slot count the search must beat.
+  CountProver(SlotFeasibility& engine, const SearchFacts& facts, std::size_t incumbent,
               const std::atomic<bool>* cancel = nullptr)
-      : engine_(engine), facts_(facts), incumbent_(incumbent), n_(facts.n),
-        cancel_(cancel) {}
+      : engine_(engine), facts_(facts), incumbent_(incumbent), n_(facts.n), cancel_(cancel) {}
 
-  /// Prove from the root (sequential path).
+  /// Prove from the root.
   void prove() {
     SearchState state;
     dfs(state, 0);
   }
 
-  /// Prove one frontier subtree (parallel task; `state` is this task's
-  /// private copy of the node).
+  /// Prove one frontier subtree (`state` is a private copy of the node).
   void prove_from(SearchState state, std::size_t next_app) { dfs(state, next_app); }
 
+  /// The best slot count found so far: the proven optimum after prove().
+  std::size_t incumbent() const { return incumbent_; }
   /// Nodes this prover expanded (diagnostics only).
   std::size_t visited() const { return visited_; }
   /// Of those, nodes pruned by forward checking (diagnostics only).
@@ -770,26 +793,20 @@ class CountProver {
  private:
   /// True when some existing slot accepts app i (cheap screens first).
   bool fits_somewhere(const SearchState& state, std::size_t i) {
-    for (std::size_t s = 0; s < state.slots; ++s) {
-      if (state.loads[s] >= 1.0) continue;
-      if ((facts_.conflict[i] & state.masks[s]) != 0) continue;
-      if (engine_.feasible(state.masks[s] | bit_of(i))) return true;
-    }
+    for (std::size_t s = 0; s < state.slots; ++s)
+      if (may_join(engine_, facts_, state, s, i, 0)) return true;
     return false;
   }
 
+  void improve(std::size_t count) { incumbent_ = std::min(incumbent_, count); }
+
   void dfs(SearchState& state, std::size_t i) {
     ++visited_;
-    // Cooperative cancellation: a relaxed flag poll every 32 nodes keeps
-    // the check off the profile while bounding the latency between a
-    // deadline expiring and the search abandoning (node cost times 32).
-    if (cancel_ != nullptr && (visited_ & 31u) == 0 &&
-        cancel_->load(std::memory_order_relaxed))
-      throw CancelledError("optimal_allocate: bound proving cancelled");
-    if (state.slots >= incumbent_.load()) return;
-    if (facts_.lower_bound_at(i, state) >= incumbent_.load()) return;
+    poll_cancel(cancel_, visited_, "optimal_allocate: bound proving cancelled");
+    if (state.slots >= incumbent_) return;
+    if (facts_.lower_bound_at(i, state) >= incumbent_) return;
     if (i == n_) {
-      incumbent_.improve(state.slots);
+      improve(state.slots);
       return;
     }
 
@@ -800,13 +817,10 @@ class CountProver {
     // argument only needs SOME feasible completion of that count to
     // exist, and feasibility does not care about canonical form.)
     if (i + 1 == n_) {
-      if (fits_somewhere(state, i))
-        incumbent_.improve(state.slots);
-      else
-        incumbent_.improve(state.slots + 1);
+      improve(fits_somewhere(state, i) ? state.slots : state.slots + 1);
       return;
     }
-    if (facts_.forward_check && state.slots + 1 >= incumbent_.load() &&
+    if (facts_.forward_check && state.slots + 1 >= incumbent_ &&
         has_homeless_app(engine_, facts_, state, i)) {
       ++forward_check_prunes_;
       return;
@@ -823,20 +837,15 @@ class CountProver {
     }
 
     const double util = facts_.utils[i];
-    const std::uint64_t conflicts = facts_.conflict[i];
-    const std::size_t s_min =
-        facts_.twin[i] == kNoTwin ? 0 : state.slot_of[facts_.twin[i]];
+    const std::size_t s_min = twin_floor(facts_, state, i);
     for (std::size_t k = 0, used = state.slots; k < used; ++k) {
       const std::size_t s = order[k];
-      if (s < s_min) continue;              // symmetry: never below the twin
-      if (state.loads[s] >= 1.0) continue;  // the newcomer's m would be >= 1
-      if ((conflicts & state.masks[s]) != 0) continue;  // conflicting member
-      if (!engine_.feasible(state.masks[s] | bit_of(i))) continue;
+      if (!may_join(engine_, facts_, state, s, i, s_min)) continue;
       state.push(s, i, util);
       dfs(state, i + 1);
       state.pop(s, i, facts_.utils);
     }
-    if (state.slots + 1 < incumbent_.load()) {
+    if (state.slots + 1 < incumbent_) {
       state.open(i, util);
       dfs(state, i + 1);
       state.close();
@@ -845,15 +854,15 @@ class CountProver {
 
   SlotFeasibility& engine_;
   const SearchFacts& facts_;
-  runtime::SharedIncumbent& incumbent_;
+  std::size_t incumbent_;
   std::size_t n_;
   std::size_t visited_ = 0;
   std::size_t forward_check_prunes_ = 0;
   const std::atomic<bool>* cancel_ = nullptr;
 };
 
-/// A node of the canonical search tree, emitted by expand_frontier for a
-/// parallel subtree task.
+/// A node of the canonical search tree, emitted by expand_frontier for
+/// one subtree task of the profiled decomposition.
 struct FrontierNode {
   SearchState state;
   std::size_t next_app = 0;
@@ -863,12 +872,11 @@ struct FrontierNode {
 /// one level is replaced by its non-pruned children, in canonical order:
 /// existing slots by index, then a new slot) until at least `target`
 /// nodes exist, the tree is exhausted, or the next level would reach the
-/// last application.  The task list is independent of the worker count,
-/// and pruning uses the same sound screens as the searches, so the set of
+/// last application.  Children are pruned against the achievable count
+/// `incumbent` with the same sound screens as the searches, so the set of
 /// optimal completions is preserved.
 std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchFacts& facts,
-                                          const runtime::SharedIncumbent& incumbent,
-                                          std::size_t target) {
+                                          std::size_t incumbent, std::size_t target) {
   std::vector<FrontierNode> frontier;
   frontier.push_back(FrontierNode{SearchState{}, 0});
   while (!frontier.empty() && frontier.size() < target &&
@@ -878,20 +886,16 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
     for (const auto& node : frontier) {
       const std::size_t i = node.next_app;
       const SearchState& state = node.state;
-      if (state.slots >= incumbent.load()) continue;
-      if (facts.lower_bound_at(i, state) >= incumbent.load()) continue;
+      if (state.slots >= incumbent) continue;
+      if (facts.lower_bound_at(i, state) >= incumbent) continue;
       const double util = facts.utils[i];
-      const std::uint64_t conflicts = facts.conflict[i];
-      const std::size_t s_min =
-          facts.twin[i] == kNoTwin ? 0 : state.slot_of[facts.twin[i]];
+      const std::size_t s_min = twin_floor(facts, state, i);
       for (std::size_t s = 0; s < state.slots; ++s) {
-        if (s < s_min || state.loads[s] >= 1.0 || (conflicts & state.masks[s]) != 0)
-          continue;
-        if (!engine.feasible(state.masks[s] | bit_of(i))) continue;
+        if (!may_join(engine, facts, state, s, i, s_min)) continue;
         next.push_back(FrontierNode{state, i + 1});
         next.back().state.push(s, i, util);
       }
-      if (state.slots + 1 < incumbent.load()) {
+      if (state.slots + 1 < incumbent) {
         next.push_back(FrontierNode{state, i + 1});
         next.back().state.open(i, util);
       }
@@ -901,42 +905,22 @@ std::vector<FrontierNode> expand_frontier(SlotFeasibility& engine, const SearchF
   return frontier;
 }
 
-/// How many frontier subtree tasks the parallel prove aims for.  Fixed
-/// (not derived from the job count) so the decomposition — and therefore
-/// the strong-scaling profile — is identical for every `exact_jobs`.
+/// How many frontier subtree tasks the profiled decomposition aims for.
+/// Fixed rather than derived from a core count, so the reported task
+/// count is a property of the instance alone.
 constexpr std::size_t kFrontierTarget = 128;
 
-/// Below this size the sequential prove always wins; skip the fan-out.
-constexpr std::size_t kMinAppsForParallelProve = 10;
-
-/// Prove the optimal slot count: sequentially, or across frontier
-/// subtrees on a ParallelSearch.  The result is the same either way — a
-/// sound branch-and-bound's proven minimum does not depend on the order
-/// in which incumbent improvements arrive.
-std::size_t prove_optimal_count(SlotFeasibility& engine, const SearchFacts& facts,
-                                std::size_t upper_bound, int jobs,
-                                const std::atomic<bool>* cancel) {
-  runtime::SharedIncumbent incumbent(upper_bound);
-  if (jobs <= 1 || facts.n < kMinAppsForParallelProve) {
-    CountProver prover(engine, facts, incumbent, cancel);
-    prover.prove();
-    return incumbent.load();
+/// Makespan of greedily list-scheduling `task_seconds` (in order) onto
+/// `workers` cores, each task to the earliest-free worker — the schedule
+/// a work-stealing pool approximates on dedicated cores.
+double list_schedule_makespan(const std::vector<double>& task_seconds, int workers) {
+  CPS_ENSURE(workers >= 1, "critical_path_seconds: need at least one worker");
+  std::vector<double> free_at(static_cast<std::size_t>(workers), 0.0);
+  for (const double task : task_seconds) {
+    auto slot = std::min_element(free_at.begin(), free_at.end());
+    *slot += std::max(0.0, task);
   }
-  const auto frontier = expand_frontier(engine, facts, incumbent, kFrontierTarget);
-  runtime::ParallelSearch search({jobs});
-  search.map(frontier.size(), [&](std::size_t t) {
-    // Per-task feasibility engine: a private copy of the root engine,
-    // memo included (the seed's and the frontier's verdicts carry over;
-    // the root engine is only read while the tasks run).  A task that
-    // observes the cancel flag throws CancelledError, which map()
-    // rethrows after cancelling the pending subtree tasks — the reused
-    // interrupt machinery of the parallel search.
-    SlotFeasibility task_engine(engine);
-    CountProver prover(task_engine, facts, incumbent, cancel);
-    prover.prove_from(frontier[t].state, frontier[t].next_app);
-    return prover.visited();
-  });
-  return incumbent.load();
+  return *std::max_element(free_at.begin(), free_at.end());
 }
 
 /// Phase 2: reconstruct the exact partition the pre-optimization search
@@ -945,8 +929,8 @@ std::size_t prove_optimal_count(SlotFeasibility& engine, const SearchFacts& fact
 /// The same sound pruning applies, so only subtrees that provably hold no
 /// optimal assignment are skipped; the canonical-first witness survives
 /// every screen (it satisfies the symmetry rule by the exchange argument
-/// above).  Always sequential: this is the canonical tie-breaking that
-/// makes the returned Allocation independent of exact_jobs.
+/// above).  This canonical tie-breaking is what makes the returned
+/// Allocation independent of the order in which phase 1 found its bounds.
 class WitnessSearch {
  public:
   WitnessSearch(SlotFeasibility& engine, const SearchFacts& facts,
@@ -966,9 +950,7 @@ class WitnessSearch {
   void dfs(SearchState& state, std::size_t i) {
     if (found_) return;
     ++visited_;
-    if (cancel_ != nullptr && (visited_ & 31u) == 0 &&
-        cancel_->load(std::memory_order_relaxed))
-      throw CancelledError("optimal_allocate: witness reconstruction cancelled");
+    poll_cancel(cancel_, visited_, "optimal_allocate: witness reconstruction cancelled");
     if (state.slots >= bound_) return;
     if (facts_.lower_bound_at(i, state) >= bound_) return;
     if (i == n_) {
@@ -981,14 +963,9 @@ class WitnessSearch {
       return;
 
     const double util = facts_.utils[i];
-    const std::uint64_t conflicts = facts_.conflict[i];
-    const std::size_t s_min =
-        facts_.twin[i] == kNoTwin ? 0 : state.slot_of[facts_.twin[i]];
+    const std::size_t s_min = twin_floor(facts_, state, i);
     for (std::size_t s = 0; s < state.slots && !found_; ++s) {
-      if (s < s_min) continue;
-      if (state.loads[s] >= 1.0) continue;
-      if ((conflicts & state.masks[s]) != 0) continue;
-      if (!engine_.feasible(state.masks[s] | bit_of(i))) continue;
+      if (!may_join(engine_, facts_, state, s, i, s_min)) continue;
       state.push(s, i, util);
       dfs(state, i + 1);
       state.pop(s, i, facts_.utils);
@@ -1082,9 +1059,11 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   if (options.warm_incumbent != 0 && options.warm_incumbent < upper)
     upper = options.warm_incumbent;
   std::size_t optimal_count = upper;
-  if (upper > facts.total_lb)
-    optimal_count =
-        prove_optimal_count(engine, facts, upper, options.exact_jobs, options.cancel);
+  if (upper > facts.total_lb) {
+    CountProver prover(engine, facts, upper, options.cancel);
+    prover.prove();
+    optimal_count = prover.incumbent();
+  }
   if (optimal_count < seed_slots)
     best = WitnessSearch(engine, facts, options.cancel).find(optimal_count);
 
@@ -1104,8 +1083,7 @@ std::uint64_t never_host_set(const std::vector<AppSchedParams>& apps, std::uint6
 }
 
 double ExactSearchProfile::critical_path_seconds(int jobs) const {
-  return setup_seconds + runtime::ParallelSearch::list_schedule_makespan(task_seconds, jobs) +
-         witness_seconds;
+  return setup_seconds + list_schedule_makespan(task_seconds, jobs) + witness_seconds;
 }
 
 ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
@@ -1134,42 +1112,37 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
   profile.root_lower_bound = facts.total_lb;
   const bool search_needed = seed.size() > facts.total_lb;
   std::vector<FrontierNode> frontier;
-  if (search_needed) {
-    const runtime::SharedIncumbent expansion_bound(seed.size());
-    frontier = expand_frontier(engine, facts, expansion_bound, kFrontierTarget);
-  }
-  // The engine the threaded tasks would copy, before the sequential prove
-  // below warms its memo further.
+  if (search_needed) frontier = expand_frontier(engine, facts, seed.size(), kFrontierTarget);
+  // The root engine as the frontier left it, before the sequential prove
+  // below warms its memo further; every subtree task starts from a copy.
   const SlotFeasibility frontier_engine = engine;
   profile.setup_seconds = since(setup_start);
 
   profile.optimal_slots = seed.size();
   if (search_needed) {
-    // The real sequential prove, timed (the j=1 baseline).
+    // The real sequential prove, timed.
     const auto prove_start = Clock::now();
-    runtime::SharedIncumbent incumbent(seed.size());
-    CountProver prover(engine, facts, incumbent);
+    CountProver prover(engine, facts, seed.size());
     prover.prove();
     profile.sequential_seconds = since(prove_start);
     profile.sequential_nodes = prover.visited();
     profile.forward_check_prunes = prover.forward_check_prunes();
-    profile.optimal_slots = incumbent.load();
+    profile.optimal_slots = prover.incumbent();
 
-    // The parallel decomposition, run one subtree at a time with per-task
-    // timing (ParallelSearch::map_timed): incumbent improvements apply in
-    // canonical completion order, so the durations are reproducible.
-    runtime::SharedIncumbent task_incumbent(seed.size());
-    runtime::ParallelSearch sequential_runner({1});
-    sequential_runner.map_timed(
-        frontier.size(),
-        [&](std::size_t t) {
-          SlotFeasibility task_engine(frontier_engine);
-          CountProver task_prover(task_engine, facts, task_incumbent);
-          task_prover.prove_from(frontier[t].state, frontier[t].next_app);
-          return task_prover.visited();
-        },
-        profile.task_seconds);
-    CPS_ENSURE(task_incumbent.load() == profile.optimal_slots,
+    // The frontier decomposition, one subtree task at a time in canonical
+    // order, each timed; a task's improvements carry into the next, so
+    // the durations are reproducible.
+    std::size_t task_incumbent = seed.size();
+    profile.task_seconds.reserve(frontier.size());
+    for (const FrontierNode& node : frontier) {
+      const auto task_start = Clock::now();
+      SlotFeasibility task_engine(frontier_engine);
+      CountProver task_prover(task_engine, facts, task_incumbent);
+      task_prover.prove_from(node.state, node.next_app);
+      task_incumbent = task_prover.incumbent();
+      profile.task_seconds.push_back(since(task_start));
+    }
+    CPS_ENSURE(task_incumbent == profile.optimal_slots,
                "profile_exact_search: decomposition disagrees with the sequential prove");
   }
 

@@ -35,14 +35,6 @@ struct AllocationOptions {
   /// Upper bound on slots (the paper's m); throws InfeasibleError when
   /// exceeded.  0 = unlimited.
   std::size_t max_slots = 0;
-  /// Worker threads for optimal_allocate's bound-proving search (ignored
-  /// by the heuristics).  <= 1 proves sequentially; > 1 fans the
-  /// top-level branch-and-bound subtrees across a
-  /// runtime::ParallelSearch with a shared atomic incumbent.  The
-  /// returned Allocation is IDENTICAL for every value (the proven count
-  /// is a schedule-independent minimum and the witness partition is
-  /// reconstructed by a canonical sequential pass).
-  int exact_jobs = 1;
   /// Anytime warm start for optimal_allocate: a slot count known to be
   /// ACHIEVABLE for this instance (some feasible partition of that many
   /// slots exists — typically the previous allocation's count after the
@@ -62,12 +54,10 @@ struct AllocationOptions {
   /// few dozen expanded nodes and throw cps::CancelledError once it
   /// reads true (the cps_serve daemon sets it when a per-request
   /// deadline expires, so a pathological exact query returns
-  /// deadline_exceeded instead of starving the worker pool).  Under
-  /// exact_jobs > 1 the throw propagates through
-  /// runtime::ParallelSearch::map, which cancels the pending subtree
-  /// tasks.  A search that completes without observing the flag is
-  /// unaffected — cancellation changes time, never answers.  Ignored by
-  /// the heuristics (they are allocation-free fast paths).
+  /// deadline_exceeded instead of starving the worker pool).  A search
+  /// that completes without observing the flag is unaffected —
+  /// cancellation changes time, never answers.  Ignored by the
+  /// heuristics (they are allocation-free fast paths).
   const std::atomic<bool>* cancel = nullptr;
 };
 
@@ -89,14 +79,12 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// than `max_apps_for_exact` applications.
 ///
 /// The search is the optimized two-phase kernel:
-///  1. a bound-proving pass establishes the optimal slot count —
-///     sequentially best-first (slots ordered by descending interference
-///     load), or, with options.exact_jobs > 1, fanned across top-level
-///     subtrees on a runtime::ParallelSearch with a shared atomic
-///     incumbent.  Either way it is pruned by (a) a precomputed
-///     utilization / fractional-packing lower-bound table, (b) a greedy
-///     max-clique bound over the precomputed conflict-pair graph (pairs
-///     that provably can never share a slot), (c) canonical symmetry
+///  1. a best-first bound-proving pass (slots ordered by descending
+///     interference load) establishes the optimal slot count.  It is
+///     pruned by (a) a precomputed utilization / fractional-packing
+///     lower-bound table, (b) a greedy max-clique bound over the
+///     precomputed conflict-pair graph (pairs that provably can never
+///     share a slot), (c) canonical symmetry
 ///     breaking over interchangeable applications (an application whose
 ///     adjacent priority predecessor is identical never goes into a
 ///     lower-indexed slot than that twin), (d) last-application
@@ -119,8 +107,7 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
 /// mask, so the result is bit-identical to the frozen pre-optimization
 /// exhaustive search (optimal_allocate_reference in tests/reference/) for
 /// every input on which the slot analysis completes (asserted by
-/// tests/analysis_golden_test.cpp) and identical at every exact_jobs
-/// value (tests/analysis_parallel_alloc_test.cpp).  One carve-out: under
+/// tests/analysis_golden_test.cpp).  One carve-out: under
 /// MaxWaitMethod::kFixedPoint, inputs whose recurrence exceeds the
 /// iteration cap (interference utilization pathologically close to 1)
 /// raise NumericalError at whichever candidate slot set a search tests
@@ -143,25 +130,27 @@ std::uint64_t never_host_set(const std::vector<AppSchedParams>& apps, std::uint6
 
 /// Strong-scaling profile of one exact search, for the alloc_parallel
 /// bench and the sweep_alloc_parallel experiment: times the sequential
-/// bound-proving pass, then re-proves through the parallel decomposition
-/// run one task at a time (runtime::ParallelSearch::map_timed), recording
-/// per-task wall times in canonical order.  critical_path_seconds(j) is
-/// the wall-clock the decomposition reaches on j dedicated cores under
-/// greedy list scheduling — the core-count-independent emulation also
-/// used by bench/campaign_scaling.cpp for process shards.
+/// bound-proving pass, then splits the search tree into frontier subtree
+/// tasks and re-proves them one at a time in canonical order, recording
+/// per-task wall times.  The decomposition only measures — optimal_allocate
+/// never runs it.  critical_path_seconds(j) is the wall-clock it would
+/// reach on j dedicated cores under greedy list scheduling — the
+/// core-count-independent emulation also used by bench/campaign_scaling.cpp
+/// for process shards.
 struct ExactSearchProfile {
   std::size_t n = 0;                 ///< applications in the instance
   std::size_t optimal_slots = 0;     ///< proven optimum
   std::size_t seed_slots = 0;        ///< first-fit upper bound
   std::size_t root_lower_bound = 0;  ///< root lower bound (util/packing/clique max)
-  double sequential_seconds = 0.0;   ///< jobs=1 bound-proving wall time
-  std::size_t sequential_nodes = 0;  ///< nodes the jobs=1 bound-proving pass expanded
+  double sequential_seconds = 0.0;   ///< sequential bound-proving wall time
+  std::size_t sequential_nodes = 0;  ///< nodes the sequential bound-proving pass expanded
   std::size_t forward_check_prunes = 0;  ///< of those, nodes cut by forward checking
   double setup_seconds = 0.0;        ///< facts + seed + frontier expansion
   double witness_seconds = 0.0;      ///< canonical witness reconstruction
   std::vector<double> task_seconds;  ///< per-subtree wall, canonical order
-  /// Emulated wall-clock of the fan-out on `jobs` dedicated cores:
+  /// Emulated wall-clock of the decomposition on `jobs` dedicated cores:
   /// setup + list-schedule makespan of the subtree tasks + witness.
+  /// Throws InvalidArgument for jobs < 1.
   double critical_path_seconds(int jobs) const;
 };
 

@@ -12,9 +12,9 @@
 // --seed > the scenario's seed > the spec's seed > the default.
 //
 // Determinism: the event-log CSV is byte-identical for a given
-// (scenario, resolved seed) at any --jobs — the allocator's result is
-// jobs-independent and wall-clock times stay in the stdout table
-// (CI runs the j1-vs-j4 and repeat-run cmp).
+// (scenario, resolved seed) at any --jobs — the world runs on one
+// thread and wall-clock times stay in the stdout table (CI runs the
+// j1-vs-j4 and repeat-run cmp).
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -82,19 +82,16 @@ CPS_EXPERIMENT(run_scenario,
   const online::ScenarioSpec scenario = resolve_scenario(ctx);
   const std::uint64_t seed = online::effective_scenario_seed(ctx, scenario);
 
-  online::ReallocationPolicy policy;
-  policy.exact_jobs = ctx.jobs;
-
   std::fprintf(ctx.out, "== Online scenario: %s (%s) ==\n", scenario.name.c_str(),
                scenario.source.c_str());
   std::fprintf(ctx.out,
-               "(%llu ticks x %s s, %zu apps at utilization %s, seed %llu, %d jobs)\n\n",
+               "(%llu ticks x %s s, %zu apps at utilization %s, seed %llu)\n\n",
                static_cast<unsigned long long>(scenario.ticks),
                format_general(scenario.tick_seconds).c_str(), scenario.n_apps,
                format_general(scenario.utilization).c_str(),
-               static_cast<unsigned long long>(seed), ctx.jobs);
+               static_cast<unsigned long long>(seed));
 
-  online::World world(scenario, seed, policy);
+  online::World world(scenario, seed);
   world.run();
 
   // Per-event re-allocation reports.  Proof wall time lives HERE, never

@@ -172,7 +172,7 @@ CPS_SWEEP_EXPERIMENT(sweep_fault_recovery,
     }
 
     const auto apps = online::fleet_to_params(fleet);
-    online::ReallocationPolicy policy;  // exact_jobs 1: the sweep itself fans out
+    online::ReallocationPolicy policy;
     policy.exact_max_apps = kMaxFleetForExact;
     const auto result = online::reallocate(apps, initial.slots, cell.budget, policy);
     cell.repaired = result.report.repaired ? 1 : 0;

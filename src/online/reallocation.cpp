@@ -123,7 +123,6 @@ ReallocationResult reallocate(const std::vector<AppSchedParams>& apps,
   AllocationOptions options;
   options.method = policy.method;
   options.max_slots = slot_budget;
-  options.exact_jobs = policy.exact_jobs;
 
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();

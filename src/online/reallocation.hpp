@@ -35,10 +35,6 @@ namespace cps::online {
 /// Allocator knobs of the online layer.
 struct ReallocationPolicy {
   analysis::MaxWaitMethod method = analysis::MaxWaitMethod::kClosedFormBound;
-  /// Worker threads for the exact prove (AllocationOptions::exact_jobs);
-  /// the resulting Allocation — and therefore the event log — is
-  /// identical for every value.
-  int exact_jobs = 1;
   /// Largest fleet the exact search is asked to prove; beyond it the
   /// online layer falls back to first-fit (the paper's heuristic).
   std::size_t exact_max_apps = 16;

@@ -22,11 +22,9 @@
 //     (the ET/TT switched semantics, analysis-driven).
 //
 // Determinism contract (CI-enforced): identical scenario + seed =>
-// byte-identical event-log CSV, for any ReallocationPolicy::exact_jobs
-// (the allocator's Allocation is jobs-independent), any advance()
-// call pattern, and any process count — per-app Rngs are seeded from
-// (world seed, app name), so arrival streams survive fleet churn
-// unchanged.  Wall-clock quantities (proof times) go to stdout tables
+// byte-identical event-log CSV, for any advance() call pattern and any
+// process count — per-app Rngs are seeded from (world seed, app name),
+// so arrival streams survive fleet churn unchanged.  Wall-clock quantities (proof times) go to stdout tables
 // only and NEVER into the event log.
 #pragma once
 

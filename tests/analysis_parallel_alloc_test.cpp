@@ -1,9 +1,9 @@
 // Tests for the exact slot allocator's search layers: permutation
-// invariance of the proven optimum, exact_jobs determinism (j1 vs j8
-// byte-identical Allocation), symmetry breaking on interchangeable
+// invariance of the proven optimum, symmetry breaking on interchangeable
 // applications, the conflict-screen model helpers, the soundness of the
-// forward-checking never-host screen, and the strong-scaling profile's
-// consistency with the real search.
+// forward-checking never-host screen, and the strong-scaling profile:
+// its consistency with the real search and its list-schedule critical
+// path.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -67,25 +67,6 @@ TEST(ParallelAllocTest, OptimumInvariantUnderInputPermutations) {
     }
   }
   EXPECT_GE(checked, 12);
-}
-
-TEST(ParallelAllocTest, AllocationIdenticalAtEveryJobCount) {
-  // The ParallelSearch determinism contract: byte-identical Allocation
-  // for exact_jobs in {1, 2, 4, 8}, including on instances large enough
-  // that the fan-out actually runs (n >= 14) — the same shared proving
-  // instances the sweep_alloc_parallel experiment and the
-  // alloc_parallel bench use (the n = 20 one is left to the bench).
-  for (const auto& inst : experiments::alloc_proving_instances()) {
-    if (inst.n >= 20) continue;
-    const auto set = experiments::alloc_proving_params(inst);
-    AllocationOptions options;
-    options.exact_jobs = 1;
-    const Allocation sequential = optimal_allocate(set, options);
-    for (const int jobs : {2, 4, 8}) {
-      options.exact_jobs = jobs;
-      expect_same_allocation(optimal_allocate(set, options), sequential);
-    }
-  }
 }
 
 TEST(ParallelAllocTest, InterchangeableApplicationsMatchReference) {
@@ -398,6 +379,26 @@ TEST(ParallelAllocTest, ProfileAgreesWithTheRealSearch) {
   EXPECT_GE(cp1, cp4);
   EXPECT_GE(cp4, cp8);
   EXPECT_GE(cp8, profile.setup_seconds + profile.witness_seconds);
+}
+
+TEST(ParallelAllocTest, CriticalPathMatchesHandComputedListSchedules) {
+  ExactSearchProfile profile;
+  profile.task_seconds = {4, 3, 2, 1};
+  // Greedy earliest-free-worker schedule: {4,3,2,1} on 2 workers ->
+  // worker A: 4+1, worker B: 3+2 -> makespan 5.
+  EXPECT_DOUBLE_EQ(profile.critical_path_seconds(2), 5.0);
+  // One worker: the serial sum.
+  EXPECT_DOUBLE_EQ(profile.critical_path_seconds(1), 10.0);
+  // More workers than tasks: the longest task.
+  EXPECT_DOUBLE_EQ(profile.critical_path_seconds(8), 4.0);
+  EXPECT_THROW(profile.critical_path_seconds(0), InvalidArgument);
+  // Setup and witness run before and after the fan-out, on one core.
+  profile.setup_seconds = 0.5;
+  profile.witness_seconds = 0.25;
+  EXPECT_DOUBLE_EQ(profile.critical_path_seconds(2), 5.75);
+  // Empty task list: setup + witness alone.
+  profile.task_seconds.clear();
+  EXPECT_DOUBLE_EQ(profile.critical_path_seconds(4), 0.75);
 }
 
 TEST(ParallelAllocTest, RaisedDefaultCapProvesTwentyApplications) {

@@ -1,7 +1,7 @@
 // Online world tests: the tick engine's determinism contract (identical
-// scenario + seed => byte-identical event log, at any exact_jobs and any
-// advance() call pattern), the sim-time/wall-clock decoupling, and the
-// semantics of each fault kind as seen through the world.
+// scenario + seed => byte-identical event log, at any advance() call
+// pattern), the sim-time/wall-clock decoupling, and the semantics of
+// each fault kind as seen through the world.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -67,17 +67,6 @@ TEST(WorldDeterminismTest, SameScenarioAndSeedGiveByteIdenticalEventLogs) {
   World c(churn_scenario(), 8);
   c.run();
   EXPECT_NE(csv_bytes(a), csv_bytes(c));
-}
-
-TEST(WorldDeterminismTest, ExactJobsNeverChangesTheEventLog) {
-  online::ReallocationPolicy one, four;
-  one.exact_jobs = 1;
-  four.exact_jobs = 4;
-  World a(churn_scenario(), 7, one);
-  World b(churn_scenario(), 7, four);
-  a.run();
-  b.run();
-  EXPECT_EQ(csv_bytes(a), csv_bytes(b));
 }
 
 TEST(WorldDeterminismTest, AdvanceCallPatternIsIrrelevant) {

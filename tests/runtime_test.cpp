@@ -20,7 +20,6 @@
 #include <vector>
 
 #include "runtime/experiment.hpp"
-#include "runtime/parallel_search.hpp"
 #include "runtime/shard.hpp"
 #include "runtime/sweep_runner.hpp"
 #include "runtime/thread_pool.hpp"
@@ -235,80 +234,6 @@ TEST(SweepRunnerTest, PropagatesTaskExceptions) {
                            return 0;
                          }),
                std::runtime_error);
-}
-
-TEST(SharedIncumbentTest, ImproveIsAMonotoneMinimum) {
-  SharedIncumbent incumbent(10);
-  EXPECT_EQ(incumbent.load(), 10u);
-  EXPECT_TRUE(incumbent.improve(7));
-  EXPECT_FALSE(incumbent.improve(7));   // equal: no improvement
-  EXPECT_FALSE(incumbent.improve(12));  // worse: never goes back up
-  EXPECT_EQ(incumbent.load(), 7u);
-  EXPECT_TRUE(incumbent.improve(2));
-  EXPECT_EQ(incumbent.load(), 2u);
-}
-
-TEST(ParallelSearchTest, MapReturnsResultsInTaskIndexOrder) {
-  ParallelSearch search({4});
-  const auto results = search.map(23, [](std::size_t i) { return i * i; });
-  ASSERT_EQ(results.size(), 23u);
-  for (std::size_t i = 0; i < results.size(); ++i) EXPECT_EQ(results[i], i * i);
-}
-
-TEST(ParallelSearchTest, SharedIncumbentReachesTheGlobalMinimumAtAnyJobCount) {
-  // Tasks race to lower the incumbent; the final minimum must be the
-  // true minimum regardless of the worker count or schedule.
-  for (const int jobs : {1, 2, 8}) {
-    SharedIncumbent incumbent(1000);
-    ParallelSearch search({jobs});
-    search.map(64, [&](std::size_t i) {
-      incumbent.improve(900 - (i * 13) % 700);
-      return 0;
-    });
-    std::uint64_t expected = 1000;
-    for (std::size_t i = 0; i < 64; ++i)
-      expected = std::min(expected, 900 - (i * 13) % 700);
-    EXPECT_EQ(incumbent.load(), expected) << jobs << " jobs";
-  }
-}
-
-TEST(ParallelSearchTest, MapPropagatesTaskExceptions) {
-  ParallelSearch search({2});
-  EXPECT_THROW(search.map(16,
-                          [](std::size_t i) -> int {
-                            if (i == 11) throw std::runtime_error("subtree boom");
-                            return 0;
-                          }),
-               std::runtime_error);
-}
-
-TEST(ParallelSearchTest, MapTimedRecordsOneDurationPerTask) {
-  ParallelSearch search({8});  // map_timed is inline regardless of jobs
-  std::vector<double> seconds;
-  std::vector<std::size_t> order;
-  search.map_timed(
-      5,
-      [&](std::size_t i) {
-        order.push_back(i);
-        return i;
-      },
-      seconds);
-  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4}));
-  ASSERT_EQ(seconds.size(), 5u);
-  for (const double s : seconds) EXPECT_GE(s, 0.0);
-}
-
-TEST(ParallelSearchTest, ListScheduleMakespanMatchesHandComputedSchedules) {
-  // Greedy earliest-free-worker schedule: {4,3,2,1} on 2 workers ->
-  // worker A: 4+1, worker B: 3+2 -> makespan 5.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({4, 3, 2, 1}, 2), 5.0);
-  // One worker: the serial sum.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({4, 3, 2, 1}, 1), 10.0);
-  // More workers than tasks: the longest task.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({4, 3, 2, 1}, 8), 4.0);
-  // Empty task list: zero.
-  EXPECT_DOUBLE_EQ(ParallelSearch::list_schedule_makespan({}, 4), 0.0);
-  EXPECT_THROW(ParallelSearch::list_schedule_makespan({1.0}, 0), InvalidArgument);
 }
 
 TEST(ExperimentRegistryTest, RegistersFindsAndRejectsDuplicates) {
