@@ -1,27 +1,20 @@
 #include "analysis/schedulability.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <utility>
 
 #include "util/error.hpp"
-
-// NOTE: analysis/slot_allocation.cpp carries an index-based replica of
-// this analysis (SlotFeasibility::compute) whose verdicts must stay
-// bit-identical to analyze_slot — tests/analysis_golden_test.cpp pins
-// that equivalence.  Any change to the math below (tolerances, seeding,
-// iteration caps, summation order) must be mirrored there.
 
 namespace cps::analysis {
 
 namespace {
 
-void check_index(const std::vector<AppSchedParams>& apps, std::size_t index) {
-  CPS_ENSURE(index < apps.size(), "schedulability: app index out of range");
-  for (const auto& a : apps) {
-    CPS_ENSURE(a.model != nullptr, "schedulability: every app needs a dwell/wait model");
-    CPS_ENSURE(a.min_inter_arrival > 0.0, "schedulability: r must be positive");
-    CPS_ENSURE(a.deadline > 0.0, "schedulability: deadline must be positive");
-  }
+/// The wait of `slot_apps[index]` (apps in priority order).
+MemberWait wait_of(const std::vector<AppSchedParams>& slot_apps, std::size_t index,
+                   MaxWaitMethod method, int max_iterations = kFixedPointMaxIterations) {
+  CPS_ENSURE(index < slot_apps.size(), "schedulability: app index out of range");
+  const auto facts = app_facts(slot_apps);
+  return member_wait(facts.data(), facts.size(), index, method, max_iterations);
 }
 
 }  // namespace
@@ -32,96 +25,82 @@ void sort_by_priority(std::vector<AppSchedParams>& apps) {
   });
 }
 
-double blocking_term(const std::vector<AppSchedParams>& slot_apps, std::size_t index) {
-  check_index(slot_apps, index);
-  double a = 0.0;
-  for (std::size_t k = index + 1; k < slot_apps.size(); ++k)
-    a = std::max(a, slot_apps[k].model->max_dwell());
-  return a;
+std::vector<AppFacts> app_facts(const std::vector<AppSchedParams>& apps) {
+  std::vector<AppFacts> facts;
+  facts.reserve(apps.size());
+  for (const auto& app : apps) {
+    CPS_ENSURE(app.model != nullptr, "schedulability: every app needs a dwell/wait model");
+    CPS_ENSURE(app.min_inter_arrival > 0.0, "schedulability: r must be positive");
+    CPS_ENSURE(app.deadline > 0.0, "schedulability: deadline must be positive");
+    AppFacts f;
+    f.xi_m = app.model->max_dwell();
+    f.util = f.xi_m / app.min_inter_arrival;
+    f.r = app.min_inter_arrival;
+    f.deadline = app.deadline;
+    f.model = app.model.get();
+    f.name = &app.name;
+    facts.push_back(f);
+  }
+  return facts;
 }
 
-double interference_utilization(const std::vector<AppSchedParams>& slot_apps,
-                                std::size_t index) {
-  check_index(slot_apps, index);
-  double m = 0.0;
-  for (std::size_t j = 0; j < index; ++j)
-    m += slot_apps[j].model->max_dwell() / slot_apps[j].min_inter_arrival;
-  return m;
+void throw_wait_diverged() {
+  throw NumericalError("max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
 }
 
 std::optional<double> max_wait_bound(const std::vector<AppSchedParams>& slot_apps,
                                      std::size_t index) {
-  const double m = interference_utilization(slot_apps, index);
-  if (m >= 1.0) return std::nullopt;
-  const double a = blocking_term(slot_apps, index);
-  double a_prime = a;
-  for (std::size_t j = 0; j < index; ++j) a_prime += slot_apps[j].model->max_dwell();
-  return a_prime / (1.0 - m);
+  const MemberWait w = wait_of(slot_apps, index, MaxWaitMethod::kClosedFormBound);
+  if (w.outcome == WaitOutcome::kSaturated) return std::nullopt;
+  return w.max_wait;
 }
 
 std::optional<double> max_wait_lower_bound(const std::vector<AppSchedParams>& slot_apps,
                                            std::size_t index) {
-  const double m = interference_utilization(slot_apps, index);
-  if (m >= 1.0) return std::nullopt;
-  return blocking_term(slot_apps, index) / (1.0 - m);
+  const MemberWait w = wait_of(slot_apps, index, MaxWaitMethod::kClosedFormBound);
+  if (w.outcome == WaitOutcome::kSaturated) return std::nullopt;
+  return w.blocking / (1.0 - w.interference_util);
 }
 
 std::optional<double> max_wait_fixed_point(const std::vector<AppSchedParams>& slot_apps,
                                            std::size_t index, int max_iterations) {
-  const double m = interference_utilization(slot_apps, index);
-  if (m >= 1.0) return std::nullopt;
-  const double a = blocking_term(slot_apps, index);
+  const MemberWait w = wait_of(slot_apps, index, MaxWaitMethod::kFixedPoint, max_iterations);
+  if (w.outcome == WaitOutcome::kSaturated) return std::nullopt;
+  if (w.outcome == WaitOutcome::kDiverged) throw_wait_diverged();
+  return w.max_wait;
+}
 
-  // Critical instant: every higher-priority application releases together
-  // with C_i, so each contributes one dwell immediately; further arrivals
-  // follow from the recurrence.  (Seeding with a alone would lose those
-  // simultaneous first arrivals: ceil(0 / r) = 0.)
-  double k = a;
-  for (std::size_t j = 0; j < index; ++j) k += slot_apps[j].model->max_dwell();
-
-  for (int it = 0; it < max_iterations; ++it) {
-    double next = a;
-    for (std::size_t j = 0; j < index; ++j)
-      next += fixed_point_interference_term(k, slot_apps[j].min_inter_arrival,
-                                            slot_apps[j].model->max_dwell());
-    if (std::fabs(next - k) <= 1e-12) return next;
-    k = next;
+SlotAnalysis analyze_slot_facts(const AppFacts* slot, std::size_t count,
+                                MaxWaitMethod method) {
+  SlotAnalysis analysis;
+  analysis.results.reserve(count);
+  analysis.all_schedulable = true;
+  for (std::size_t i = 0; i < count; ++i) {
+    const MemberWait w = member_wait(slot, count, i, method);
+    if (w.outcome == WaitOutcome::kDiverged) throw_wait_diverged();
+    AppSchedResult r;
+    r.name = *slot[i].name;
+    r.blocking = w.blocking;
+    r.interference_util = w.interference_util;
+    r.deadline = slot[i].deadline;
+    if (w.outcome == WaitOutcome::kSaturated) {
+      r.utilization_feasible = false;
+    } else {
+      r.max_wait = w.max_wait;
+      r.response = slot[i].model->response(w.max_wait);
+      r.schedulable = meets_deadline(r.response, r.deadline);
+    }
+    if (!r.schedulable) analysis.all_schedulable = false;
+    analysis.results.push_back(std::move(r));
   }
-  throw NumericalError("max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
+  return analysis;
 }
 
 SlotAnalysis analyze_slot(std::vector<AppSchedParams> slot_apps, MaxWaitMethod method) {
   CPS_ENSURE(!slot_apps.empty(), "analyze_slot: need at least one application");
   sort_by_priority(slot_apps);
-
-  SlotAnalysis analysis;
-  analysis.results.reserve(slot_apps.size());
-  analysis.all_schedulable = true;
-
-  for (std::size_t i = 0; i < slot_apps.size(); ++i) {
-    AppSchedResult r;
-    r.name = slot_apps[i].name;
-    r.deadline = slot_apps[i].deadline;
-    r.blocking = blocking_term(slot_apps, i);
-    r.interference_util = interference_utilization(slot_apps, i);
-
-    const auto k_hat = method == MaxWaitMethod::kClosedFormBound
-                           ? max_wait_bound(slot_apps, i)
-                           : max_wait_fixed_point(slot_apps, i);
-    if (!k_hat.has_value()) {
-      r.utilization_feasible = false;
-      r.schedulable = false;
-      analysis.all_schedulable = false;
-      analysis.results.push_back(std::move(r));
-      continue;
-    }
-    r.max_wait = *k_hat;
-    r.response = slot_apps[i].model->response(*k_hat);
-    r.schedulable = r.response <= r.deadline + 1e-12;
-    if (!r.schedulable) analysis.all_schedulable = false;
-    analysis.results.push_back(std::move(r));
-  }
-  return analysis;
+  const auto facts = app_facts(slot_apps);
+  return analyze_slot_facts(facts.data(), facts.size(), method);
 }
 
 }  // namespace cps::analysis

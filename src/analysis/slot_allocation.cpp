@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 
 #include "util/error.hpp"
@@ -14,32 +14,16 @@ namespace cps::analysis {
 
 namespace {
 
-/// Package a set of slots (each already in priority order) as Allocation.
-Allocation finalize(std::vector<std::vector<AppSchedParams>> slots,
-                    const AllocationOptions& options) {
-  Allocation out;
-  out.slots.reserve(slots.size());
-  out.analyses.reserve(slots.size());
-  for (auto& slot : slots) {
-    std::vector<std::string> names;
-    names.reserve(slot.size());
-    for (const auto& a : slot) names.push_back(a.name);
-    out.slots.push_back(std::move(names));
-    out.analyses.push_back(analyze_slot(std::move(slot), options.method));
-  }
-  return out;
-}
-
 // ---------------------------------------------------------------------------
 // Mask-indexed slot-feasibility engine.
 //
 // The allocators spend their entire runtime asking "is this slot's
 // application set schedulable?".  analyze_slot answers that, but each call
 // copies the AppSchedParams (std::string names included), re-sorts them and
-// heap-allocates the result vector.  This engine answers the same question
-// over *indices* into the caller's priority-sorted application vector with
-// the exact floating-point operation order of analyze_slot (same sums, same
-// maxima, same comparisons), so its verdicts are bit-identical.
+// heap-allocates the result vector.  This engine asks the same wait kernel
+// (member_wait, analysis/schedulability.hpp) over the AppFacts of the
+// slot's members, gathered onto the stack, so its verdicts are
+// analyze_slot's bit for bit.
 //
 // Applications are placed in index (= priority) order, so a slot's
 // membership bitmask fully determines its ordered members: the engine
@@ -63,20 +47,6 @@ std::size_t lowest_bit(std::uint64_t mask) {
 std::size_t highest_bit(std::uint64_t mask) {
   return 63 - static_cast<std::size_t>(__builtin_clzll(mask));
 }
-
-struct AppFacts {
-  double xi_m = 0.0;     // model->max_dwell(), the xi^M of the analysis
-  double util = 0.0;     // xi_m / r, one interference-utilization term
-  double r = 1.0;        // minimum inter-arrival time
-  double deadline = 1.0;
-  const DwellWaitModel* model = nullptr;
-};
-
-// The Eq. (5) recurrence term is shared with the semantic source:
-// fixed_point_interference_term (analysis/schedulability.hpp).  The
-// engine's verdicts and its never-host sets both take their waits from
-// that one expression, so a never-host claim is a claim about the real
-// feasibility math.
 
 /// Slot facts keyed by membership mask: linear probing over a
 /// power-of-two table kept at most half full, Fibonacci-hashed on the
@@ -181,23 +151,12 @@ class SlotFeasibility {
   /// `apps` must stay alive and unmodified for the engine's lifetime and
   /// must already be in priority order.
   SlotFeasibility(const std::vector<AppSchedParams>& apps, MaxWaitMethod method)
-      : method_(method) {
-    facts_.reserve(apps.size());
-    for (const auto& a : apps) {
-      CPS_ENSURE(a.model != nullptr, "schedulability: every app needs a dwell/wait model");
-      CPS_ENSURE(a.min_inter_arrival > 0.0, "schedulability: r must be positive");
-      CPS_ENSURE(a.deadline > 0.0, "schedulability: deadline must be positive");
-      AppFacts f;
-      f.xi_m = a.model->max_dwell();
-      f.util = f.xi_m / a.min_inter_arrival;
-      f.r = a.min_inter_arrival;
-      f.deadline = a.deadline;
-      f.model = a.model.get();
-      facts_.push_back(f);
-    }
-  }
+      : method_(method), facts_(app_facts(apps)) {}
 
+  /// The facts of every application, in priority order.
+  const std::vector<AppFacts>& facts() const { return facts_; }
   const AppFacts& facts(std::size_t i) const { return facts_[i]; }
+  std::size_t size() const { return facts_.size(); }
 
   /// True when every application has a mask bit (at most 64 of them).
   bool indexed() const { return facts_.size() <= kMaxIndexedApps; }
@@ -208,18 +167,28 @@ class SlotFeasibility {
   bool feasible(std::uint64_t mask) {
     const int cached = memo_.find(mask);
     if (cached >= 0) return cached != 0;
-    std::array<std::size_t, kMaxIndexedApps> members{};
-    const std::size_t count = members_of(mask, members.data());
-    const bool ok = compute(members.data(), count);
+    std::array<AppFacts, kMaxIndexedApps> slot;
+    const bool ok = feasible_slot(slot.data(), gather(mask, slot.data()));
     memo_.insert(mask, ok);
     return ok;
   }
 
-  /// The same verdict for an explicit member list (indices in increasing
-  /// = priority order), unmemoized: the path of instances too large for a
-  /// mask.
-  bool feasible_members(const std::vector<std::size_t>& members) const {
-    return compute(members.data(), members.size());
+  /// The same verdict, unmemoized, for the slot `slot[0, count)` of
+  /// gathered facts in priority order (instances above 64 applications
+  /// query this directly).  Runs member_wait member by member like
+  /// analyze_slot, evaluating every member rather than stopping at the
+  /// first deadline miss, so an exception a later member would raise
+  /// (fixed-point non-convergence) surfaces exactly as there.
+  bool feasible_slot(const AppFacts* slot, std::size_t count) const {
+    bool all_ok = true;
+    for (std::size_t i = 0; i < count; ++i) {
+      const MemberWait w = member_wait(slot, count, i, method_);
+      if (w.outcome == WaitOutcome::kSaturated) return false;  // so is every later member
+      if (w.outcome == WaitOutcome::kDiverged) throw_wait_diverged();
+      if (!meets_deadline(slot[i].model->response(w.max_wait), slot[i].deadline))
+        all_ok = false;
+    }
+    return all_ok;
   }
 
   /// The never-host set of a nonzero `mask` (requires indexed()): the
@@ -250,116 +219,51 @@ class SlotFeasibility {
   /// never_hosts() without the memo; `known` holds apps already known to
   /// be never-hosted, which are not re-tested.
   std::uint64_t compute_never_hosts(std::uint64_t mask, std::uint64_t known = 0) const {
-    std::array<std::size_t, kMaxIndexedApps + 1> members;  // [0, count] written below
-    const std::size_t count = members_of(mask, members.data());
-    const std::size_t last = members[count - 1];
+    const std::size_t last = highest_bit(mask);
     std::uint64_t hosts = known & ~(bit_of(last) | (bit_of(last) - 1));
     if (last + 1 == facts_.size()) return hosts;
+    std::array<AppFacts, kMaxIndexedApps + 1> slot;  // [0, count] written below
+    const std::size_t count = gather(mask, slot.data());
 
     // The newcomer sits below every member: no blocking and the whole
     // slot as interference, so its wait is the same for every j.
-    double k_new = 0.0;
-    const Wait newcomer = max_wait(members.data(), count + 1, count, k_new);
+    const MemberWait newcomer = member_wait(slot.data(), count + 1, count, method_);
     // blocking[x]: the blocking member x sees within the mask.
     std::array<double, kMaxIndexedApps> blocking;
     blocking[count - 1] = 0.0;
     for (std::size_t x = count - 1; x-- > 0;)
-      blocking[x] = std::max(blocking[x + 1], facts_[members[x + 1]].xi_m);
+      blocking[x] = std::max(blocking[x + 1], slot[x + 1].xi_m);
 
     for (std::size_t j = last + 1; j < facts_.size(); ++j) {
       if ((hosts & bit_of(j)) != 0) continue;
-      const AppFacts& fj = facts_[j];
-      bool dead = newcomer == Wait::kSaturated ||
-                  (newcomer == Wait::kBounded && hopeless(fj, k_new));
+      slot[count] = facts_[j];
+      bool dead = misses(newcomer, slot[count]);
       // blocking[] only shrinks down the slot, so the members whose
       // blocking j raises are a suffix of it.
-      members[count] = j;
-      for (std::size_t x = count; !dead && x-- > 0 && blocking[x] < fj.xi_m;) {
-        double k_hat = 0.0;
-        const Wait w = max_wait(members.data(), count + 1, x, k_hat);
-        dead = w == Wait::kSaturated ||
-               (w == Wait::kBounded && hopeless(facts_[members[x]], k_hat));
-      }
+      for (std::size_t x = count; !dead && x-- > 0 && blocking[x] < slot[count].xi_m;)
+        dead = misses(member_wait(slot.data(), count + 1, x, method_), slot[x]);
       if (dead) hosts |= bit_of(j);
     }
     return hosts;
   }
 
  private:
-  /// Outcome of one member's maximum-wait computation.
-  enum class Wait { kBounded, kSaturated, kDiverged };
-
-  static std::size_t members_of(std::uint64_t mask, std::size_t* members) {
+  /// Gather the facts of `mask`'s members, in priority order, into `slot`.
+  std::size_t gather(std::uint64_t mask, AppFacts* slot) const {
     std::size_t count = 0;
     for (std::uint64_t rest = mask; rest != 0; rest &= rest - 1)
-      members[count++] = lowest_bit(rest);
+      slot[count++] = facts_[lowest_bit(rest)];
     return count;
   }
 
-  /// Maximum wait k_hat of members[i] in the slot members[0, count), in
-  /// analyze_slot's exact floating-point operation order.  kSaturated: its
-  /// interference utilization reaches 1; kDiverged: the Eq. (5) fixed
-  /// point exceeds the iteration cap.  Keep in sync with
-  /// analysis/schedulability.cpp (the semantic source of this math).
-  Wait max_wait(const std::size_t* members, std::size_t count, std::size_t i,
-                double& k_hat) const {
-    // Blocking a (Eq. 8): largest lower-priority max dwell.
-    double a = 0.0;
-    for (std::size_t k = i + 1; k < count; ++k) a = std::max(a, facts_[members[k]].xi_m);
-    // Interference utilization m (Eq. 19).
-    double m = 0.0;
-    for (std::size_t j = 0; j < i; ++j) m += facts_[members[j]].util;
-    if (m >= 1.0) return Wait::kSaturated;
-
-    if (method_ == MaxWaitMethod::kClosedFormBound) {
-      double a_prime = a;
-      for (std::size_t j = 0; j < i; ++j) a_prime += facts_[members[j]].xi_m;
-      k_hat = a_prime / (1.0 - m);
-      return Wait::kBounded;
-    }
-    // Exact fixed point of Eq. (5), identical to max_wait_fixed_point.
-    double k = a;
-    for (std::size_t j = 0; j < i; ++j) k += facts_[members[j]].xi_m;
-    for (int it = 0; it < 10000; ++it) {
-      double next = a;
-      for (std::size_t j = 0; j < i; ++j)
-        next += fixed_point_interference_term(k, facts_[members[j]].r, facts_[members[j]].xi_m);
-      if (std::fabs(next - k) <= 1e-12) {
-        k_hat = next;
-        return Wait::kBounded;
-      }
-      k = next;
-    }
-    return Wait::kDiverged;
-  }
-
-  bool compute(const std::size_t* members, std::size_t count) const {
-    // Mirrors analyze_slot member by member — including evaluating every
-    // member rather than stopping at the first failure, so an exception a
-    // later member would raise (fixed-point non-convergence) surfaces
-    // exactly as in the reference path.
-    bool all_ok = true;
-    for (std::size_t i = 0; i < count; ++i) {
-      double k_hat = 0.0;
-      switch (max_wait(members, count, i, k_hat)) {
-        case Wait::kSaturated:
-          return false;  // every lower-priority member fails too
-        case Wait::kDiverged:
-          throw NumericalError(
-              "max_wait_fixed_point: recurrence did not converge (m < 1 violated?)");
-        case Wait::kBounded:
-          break;
-      }
-      const double response = k_hat + facts_[members[i]].model->dwell(k_hat);
-      if (!(response <= facts_[members[i]].deadline + 1e-12)) all_ok = false;
-    }
-    return all_ok;
-  }
-
-  /// True when an application can no longer meet its deadline once its
-  /// maximum wait is at least `wait`.
-  static bool hopeless(const AppFacts& f, double wait) {
-    return f.model->min_response_from(wait) > f.deadline + 1e-12;
+  /// True when an application with wait `w` can never meet its deadline
+  /// in this slot or any superset: its utilization is saturated, or even
+  /// the infimum of its response beyond the wait misses.  A diverged
+  /// recurrence claims nothing.
+  static bool misses(const MemberWait& w, const AppFacts& f) {
+    return w.outcome == WaitOutcome::kSaturated ||
+           (w.outcome == WaitOutcome::kBounded &&
+            f.model->min_response_from(w.max_wait) > f.deadline + 1e-12);
   }
 
   MaxWaitMethod method_;
@@ -367,14 +271,13 @@ class SlotFeasibility {
   VerdictMemo memo_;
 };
 
-/// Dedicated-slot feasibility of one application, throwing the shared
+/// Dedicated-slot feasibility of application `index`, throwing the shared
 /// diagnostic otherwise.
-void require_alone_feasible(SlotFeasibility& engine, const AppSchedParams& app,
-                            std::size_t index) {
+void require_alone_feasible(SlotFeasibility& engine, std::size_t index) {
   const bool alone = engine.indexed() ? engine.feasible(bit_of(index))
-                                      : engine.feasible_members({index});
+                                      : engine.feasible_slot(&engine.facts(index), 1);
   if (!alone)
-    throw InfeasibleError("application '" + app.name +
+    throw InfeasibleError("application '" + *engine.facts(index).name +
                           "' cannot meet its deadline even on a dedicated TT slot");
 }
 
@@ -392,9 +295,10 @@ class HeuristicPartition {
   /// of its members: apps are processed by decreasing priority).
   bool accepts(std::size_t s, std::size_t i) {
     if (engine_.indexed()) return engine_.feasible(masks_[s] | bit_of(i));
-    candidate_ = slots_[s];
-    candidate_.push_back(i);
-    return engine_.feasible_members(candidate_);
+    candidate_.clear();
+    for (std::size_t m : slots_[s]) candidate_.push_back(engine_.facts(m));
+    candidate_.push_back(engine_.facts(i));
+    return engine_.feasible_slot(candidate_.data(), candidate_.size());
   }
 
   void add(std::size_t s, std::size_t i) {
@@ -402,11 +306,11 @@ class HeuristicPartition {
     if (engine_.indexed()) masks_[s] |= bit_of(i);
   }
 
-  /// Open a new slot for `app` (index i), failing loudly when it cannot
-  /// meet its deadline even alone or the slot cap is exceeded.
-  /// max_slots = 0 is unlimited.
-  void open(const AppSchedParams& app, std::size_t i, std::size_t max_slots) {
-    require_alone_feasible(engine_, app, i);
+  /// Open a new slot for app i, failing loudly when it cannot meet its
+  /// deadline even alone or the slot cap is exceeded.  max_slots = 0 is
+  /// unlimited.
+  void open(std::size_t i, std::size_t max_slots) {
+    require_alone_feasible(engine_, i);
     slots_.push_back({i});
     if (engine_.indexed()) masks_.push_back(bit_of(i));
     if (max_slots != 0 && slots_.size() > max_slots)
@@ -420,38 +324,23 @@ class HeuristicPartition {
   SlotFeasibility& engine_;
   std::vector<std::vector<std::size_t>> slots_;
   std::vector<std::uint64_t> masks_;
-  std::vector<std::size_t> candidate_;
+  std::vector<AppFacts> candidate_;
 };
 
 /// First-fit over indices (the paper's heuristic), shared by the public
 /// entry point and the branch-and-bound seed.  max_slots = 0 is unlimited.
-std::vector<std::vector<std::size_t>> first_fit_indices(
-    SlotFeasibility& engine, const std::vector<AppSchedParams>& apps, std::size_t max_slots) {
+std::vector<std::vector<std::size_t>> first_fit_indices(SlotFeasibility& engine,
+                                                        std::size_t max_slots) {
   HeuristicPartition partition(engine);
-  for (std::size_t i = 0; i < apps.size(); ++i) {
+  for (std::size_t i = 0; i < engine.size(); ++i) {
     std::size_t s = 0;
     while (s < partition.size() && !partition.accepts(s, i)) ++s;
     if (s < partition.size())
       partition.add(s, i);
     else
-      partition.open(apps[i], i, max_slots);
+      partition.open(i, max_slots);
   }
   return partition.release();
-}
-
-/// Materialize index slots back into application slots for finalize().
-std::vector<std::vector<AppSchedParams>> materialize(
-    const std::vector<std::vector<std::size_t>>& slots,
-    const std::vector<AppSchedParams>& apps) {
-  std::vector<std::vector<AppSchedParams>> out;
-  out.reserve(slots.size());
-  for (const auto& slot : slots) {
-    std::vector<AppSchedParams> block;
-    block.reserve(slot.size());
-    for (std::size_t i : slot) block.push_back(apps[i]);
-    out.push_back(std::move(block));
-  }
-  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -995,13 +884,35 @@ class WitnessSearch {
 
 }  // namespace
 
+Allocation build_allocation(const std::vector<AppFacts>& facts,
+                            const std::vector<std::vector<std::size_t>>& slots,
+                            MaxWaitMethod method) {
+  Allocation out;
+  out.slots.reserve(slots.size());
+  out.analyses.reserve(slots.size());
+  std::vector<AppFacts> slot_facts;
+  for (const auto& slot : slots) {
+    slot_facts.clear();
+    std::vector<std::string> names;
+    names.reserve(slot.size());
+    for (const std::size_t i : slot) {
+      CPS_ENSURE(i < facts.size(), "build_allocation: app index out of range");
+      slot_facts.push_back(facts[i]);
+      names.push_back(*facts[i].name);
+    }
+    out.slots.push_back(std::move(names));
+    out.analyses.push_back(analyze_slot_facts(slot_facts.data(), slot_facts.size(), method));
+  }
+  return out;
+}
+
 Allocation first_fit_allocate(std::vector<AppSchedParams> apps,
                               const AllocationOptions& options) {
   CPS_ENSURE(!apps.empty(), "first_fit_allocate: need at least one application");
   sort_by_priority(apps);
   SlotFeasibility engine(apps, options.method);
-  const auto slots = first_fit_indices(engine, apps, options.max_slots);
-  return finalize(materialize(slots, apps), options);
+  return build_allocation(engine.facts(), first_fit_indices(engine, options.max_slots),
+                          options.method);
 }
 
 Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
@@ -1011,7 +922,7 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
   SlotFeasibility engine(apps, options.method);
 
   HeuristicPartition partition(engine);
-  for (std::size_t i = 0; i < apps.size(); ++i) {
+  for (std::size_t i = 0; i < engine.size(); ++i) {
     double best_load = -1.0;
     std::size_t best_slot = partition.size();
     for (std::size_t s = 0; s < partition.size(); ++s) {
@@ -1029,9 +940,9 @@ Allocation best_fit_allocate(std::vector<AppSchedParams> apps,
     if (best_slot < partition.size())
       partition.add(best_slot, i);
     else
-      partition.open(apps[i], i, options.max_slots);
+      partition.open(i, options.max_slots);
   }
-  return finalize(materialize(partition.release(), apps), options);
+  return build_allocation(engine.facts(), partition.release(), options.method);
 }
 
 Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOptions& options,
@@ -1043,12 +954,12 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
              "optimal_allocate: exact search limited to 64 applications (bitmask state)");
   sort_by_priority(apps);
   SlotFeasibility engine(apps, options.method);
-  for (std::size_t i = 0; i < apps.size(); ++i) require_alone_feasible(engine, apps[i], i);
+  for (std::size_t i = 0; i < apps.size(); ++i) require_alone_feasible(engine, i);
 
   // The paper's first-fit heuristic seeds the upper bound — and remains
   // the answer whenever the search cannot beat it, exactly as in the
   // reference implementation.
-  auto best = first_fit_indices(engine, apps, 0);
+  auto best = first_fit_indices(engine, 0);
   const std::size_t seed_slots = best.size();
 
   const SearchFacts facts(engine, apps.size());
@@ -1070,7 +981,7 @@ Allocation optimal_allocate(std::vector<AppSchedParams> apps, const AllocationOp
   if (options.max_slots != 0 && best.size() > options.max_slots)
     throw InfeasibleError("optimal allocation still exceeds the available " +
                           std::to_string(options.max_slots) + " TT slots");
-  return finalize(materialize(best, apps), options);
+  return build_allocation(engine.facts(), best, options.method);
 }
 
 std::uint64_t never_host_set(const std::vector<AppSchedParams>& apps, std::uint64_t mask,
@@ -1105,8 +1016,8 @@ ExactSearchProfile profile_exact_search(std::vector<AppSchedParams> apps,
 
   const auto setup_start = Clock::now();
   SlotFeasibility engine(apps, options.method);
-  for (std::size_t i = 0; i < apps.size(); ++i) require_alone_feasible(engine, apps[i], i);
-  const auto seed = first_fit_indices(engine, apps, 0);
+  for (std::size_t i = 0; i < apps.size(); ++i) require_alone_feasible(engine, i);
+  const auto seed = first_fit_indices(engine, 0);
   const SearchFacts facts(engine, apps.size());
   profile.seed_slots = seed.size();
   profile.root_lower_bound = facts.total_lb;

@@ -57,9 +57,20 @@ struct AllocationOptions {
   /// deadline_exceeded instead of starving the worker pool).  A search
   /// that completes without observing the flag is unaffected —
   /// cancellation changes time, never answers.  Ignored by the
-  /// heuristics (they are allocation-free fast paths).
+  /// heuristics, whose work is bounded by one pass over the slots per
+  /// application.
   const std::atomic<bool>* cancel = nullptr;
 };
+
+/// The one builder of every Allocation: slot `s` holds the applications
+/// `slots[s]`, indices into `facts` (app_facts of the applications in
+/// priority order, sort_by_priority); each slot's indices must increase,
+/// so its members are in priority order.  Each slot's analysis is
+/// analyze_slot_facts over its members' facts, equal to analyze_slot on
+/// their AppSchedParams bit for bit, without copying or re-sorting them.
+Allocation build_allocation(const std::vector<AppFacts>& facts,
+                            const std::vector<std::vector<std::size_t>>& slots,
+                            MaxWaitMethod method);
 
 /// First-fit allocation (the paper's heuristic).  Applications may be
 /// passed in any order; they are processed by decreasing priority

@@ -16,25 +16,6 @@ using analysis::AllocationOptions;
 using analysis::AppSchedParams;
 using analysis::MaxWaitMethod;
 
-/// Package slot lists of params (any order within a slot) as an
-/// Allocation with per-slot analyses attached — the online counterpart
-/// of the allocator's finalize().
-Allocation build_allocation(std::vector<std::vector<AppSchedParams>> slots,
-                            MaxWaitMethod method) {
-  Allocation out;
-  out.slots.reserve(slots.size());
-  out.analyses.reserve(slots.size());
-  for (auto& slot : slots) {
-    analysis::sort_by_priority(slot);
-    std::vector<std::string> names;
-    names.reserve(slot.size());
-    for (const auto& app : slot) names.push_back(app.name);
-    out.slots.push_back(std::move(names));
-    out.analyses.push_back(analysis::analyze_slot(slot, method));
-  }
-  return out;
-}
-
 bool slot_feasible(const std::vector<AppSchedParams>& slot, MaxWaitMethod method) {
   return analysis::analyze_slot(slot, method).all_schedulable;
 }
@@ -95,9 +76,9 @@ Allocation degraded_allocation(std::vector<AppSchedParams> apps, std::size_t slo
   analysis::sort_by_priority(apps);
   const std::size_t k =
       slot_budget == 0 ? apps.size() : std::min(slot_budget, apps.size());
-  std::vector<std::vector<AppSchedParams>> slots(k);
-  for (std::size_t i = 0; i < apps.size(); ++i) slots[i % k].push_back(apps[i]);
-  return build_allocation(std::move(slots), method);
+  std::vector<std::vector<std::size_t>> slots(k);
+  for (std::size_t i = 0; i < apps.size(); ++i) slots[i % k].push_back(i);
+  return analysis::build_allocation(analysis::app_facts(apps), slots, method);
 }
 
 }  // namespace

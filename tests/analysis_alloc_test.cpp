@@ -11,6 +11,7 @@
 
 #include "analysis/slot_allocation.hpp"
 #include "plants/table1.hpp"
+#include "reference/analysis_reference.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -145,9 +146,9 @@ TEST(AllocationTest, ReportedAnalysesMatchSlotContents) {
 // ---------------------------------------------------------------------------
 // Mask boundary: the allocators index slots by a 64-bit membership mask up
 // to 64 applications and fall back to explicit member lists above.  At
-// n = 63, 64 and 65 they must match a naive allocator over analyze_slot
-// exactly — n = 64 puts bit 63 into the masks and the memo hash, n = 65
-// runs the memo-less path.
+// n = 63, 64 and 65 they must match a naive allocator over the frozen
+// analyze_slot_reference exactly — n = 64 puts bit 63 into the masks and
+// the memo hash, n = 65 runs the memo-less path.
 
 /// n random applications with light interference (r = 6..30 peak dwells),
 /// so slots hold many members.
@@ -175,9 +176,9 @@ double naive_load(const std::vector<AppSchedParams>& slot) {
   return load;
 }
 
-/// The heuristics spelled out over analyze_slot: first fit takes the
-/// first slot that stays schedulable, best fit the schedulable slot with
-/// the highest resulting load (earliest on ties).
+/// The heuristics spelled out over analyze_slot_reference: first fit
+/// takes the first slot that stays schedulable, best fit the schedulable
+/// slot with the highest resulting load (earliest on ties).
 std::vector<std::vector<std::string>> naive_allocate(std::vector<AppSchedParams> apps,
                                                      MaxWaitMethod method, bool best_fit) {
   sort_by_priority(apps);
@@ -188,7 +189,7 @@ std::vector<std::vector<std::string>> naive_allocate(std::vector<AppSchedParams>
     for (std::size_t s = 0; s < slots.size() && (best_fit || chosen == slots.size()); ++s) {
       auto candidate = slots[s];
       candidate.push_back(app);
-      if (!analyze_slot(candidate, method).all_schedulable) continue;
+      if (!analyze_slot_reference(candidate, method).all_schedulable) continue;
       if (!best_fit || naive_load(candidate) > best_load) {
         best_load = naive_load(candidate);
         chosen = s;

@@ -1,24 +1,28 @@
-// Golden-output regression tests for the PR-2 hot-path optimizations.
+// Golden-output regression tests for the hot-path analysis kernels.
 //
-// Both optimized kernels are checked against their frozen
-// pre-optimization implementations in tests/reference/
-// (measure_dwell_wait_curve_reference, optimal_allocate_reference); these
-// tests assert bit-identical results —
-// exact integer step counts, exact double bit patterns, exact partitions —
-// on the seed fixtures (servo motor, synthesized Table I fleet, published
-// Table I scheduling parameters) and on randomized instances.  Any
-// floating-point reordering or search-order change in the optimized paths
-// fails loudly here.
+// The dwell/wait sweep, the slot analysis and the exact allocator are
+// checked against their frozen implementations in tests/reference/
+// (measure_dwell_wait_curve_reference, analyze_slot_reference and the
+// max_wait_*_reference helpers, optimal_allocate_reference); these tests
+// assert bit-identical results — exact integer step counts, exact double
+// bit patterns, exact partitions — on the seed fixtures (servo motor,
+// synthesized Table I fleet, published Table I scheduling parameters) and
+// on randomized instances.  Any floating-point reordering or search-order
+// change in the optimized paths fails loudly here.
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <optional>
+#include <string>
 #include <vector>
 
+#include "analysis/dwell_wait_model.hpp"
 #include "analysis/slot_allocation.hpp"
 #include "control/loop_design.hpp"
 #include "experiments/fixtures.hpp"
 #include "linalg/matrix.hpp"
 #include "linalg/vector.hpp"
+#include "model_families.hpp"
 #include "plants/servo_motor.hpp"
 #include "plants/table1.hpp"
 #include "reference/analysis_reference.hpp"
@@ -116,22 +120,140 @@ TEST(DwellWaitGolden, RandomStableSystemsBitIdentical) {
   EXPECT_GE(measured, 10) << "random-system generator produced too few settling draws";
 }
 
+/// Bitwise double equality: tells -0.0 from 0.0 and matches NaN payloads.
+void expect_bits(double optimized, double reference, const char* field) {
+  EXPECT_TRUE(bits_equal(optimized, reference))
+      << field << ": " << optimized << " vs reference " << reference;
+}
+
+/// Every AppSchedResult field, doubles bit for bit.
+void expect_same_result(const AppSchedResult& a, const AppSchedResult& b) {
+  EXPECT_EQ(a.name, b.name);
+  expect_bits(a.blocking, b.blocking, "blocking");
+  expect_bits(a.interference_util, b.interference_util, "interference_util");
+  expect_bits(a.max_wait, b.max_wait, "max_wait");
+  expect_bits(a.response, b.response, "response");
+  expect_bits(a.deadline, b.deadline, "deadline");
+  EXPECT_EQ(a.schedulable, b.schedulable);
+  EXPECT_EQ(a.utilization_feasible, b.utilization_feasible);
+}
+
+void expect_same_analysis(const SlotAnalysis& a, const SlotAnalysis& b) {
+  EXPECT_EQ(a.all_schedulable, b.all_schedulable);
+  ASSERT_EQ(a.results.size(), b.results.size());
+  for (std::size_t i = 0; i < a.results.size(); ++i) {
+    SCOPED_TRACE("member " + std::to_string(i));
+    expect_same_result(a.results[i], b.results[i]);
+  }
+}
+
 void expect_same_allocation(const Allocation& optimized, const Allocation& reference) {
   ASSERT_EQ(optimized.slot_count(), reference.slot_count());
   EXPECT_EQ(optimized.slots, reference.slots);  // same apps, same slots, same order
   ASSERT_EQ(optimized.analyses.size(), reference.analyses.size());
   for (std::size_t s = 0; s < optimized.analyses.size(); ++s) {
-    const auto& a = optimized.analyses[s];
-    const auto& b = reference.analyses[s];
-    EXPECT_EQ(a.all_schedulable, b.all_schedulable);
-    ASSERT_EQ(a.results.size(), b.results.size());
-    for (std::size_t i = 0; i < a.results.size(); ++i) {
-      EXPECT_EQ(a.results[i].name, b.results[i].name);
-      EXPECT_EQ(a.results[i].max_wait, b.results[i].max_wait);    // bitwise
-      EXPECT_EQ(a.results[i].response, b.results[i].response);    // bitwise
-      EXPECT_EQ(a.results[i].schedulable, b.results[i].schedulable);
+    SCOPED_TRACE("slot " + std::to_string(s));
+    expect_same_analysis(optimized.analyses[s], reference.analyses[s]);
+  }
+}
+
+/// The same value or both absent, bit for bit.
+void expect_same_wait(const std::optional<double>& optimized,
+                      const std::optional<double>& reference, const char* which) {
+  ASSERT_EQ(optimized.has_value(), reference.has_value()) << which;
+  if (optimized) expect_bits(*optimized, *reference, which);
+}
+
+/// Counts of what one differential comparison exercised.
+struct SlotDiffCounts {
+  int compared = 0;   ///< slot analyses compared field by field
+  int saturated = 0;  ///< of those, with a member at m >= 1
+  int diverged = 0;   ///< inputs on which both sides threw NumericalError
+};
+
+/// analyze_slot and the three max_wait helpers against the frozen
+/// reference on one slot (any order) under `method`: the same fields bit
+/// for bit, or NumericalError from both.
+void expect_slot_matches_reference(std::vector<AppSchedParams> slot, MaxWaitMethod method,
+                                   SlotDiffCounts& counts) {
+  try {
+    const SlotAnalysis optimized = analyze_slot(slot, method);
+    const SlotAnalysis reference = analyze_slot_reference(slot, method);
+    expect_same_analysis(optimized, reference);
+    ++counts.compared;
+    for (const auto& r : optimized.results)
+      if (!r.utilization_feasible) {
+        ++counts.saturated;
+        break;
+      }
+  } catch (const NumericalError&) {
+    EXPECT_THROW(analyze_slot_reference(slot, method), NumericalError);
+    ++counts.diverged;
+  }
+  sort_by_priority(slot);
+  for (std::size_t i = 0; i < slot.size(); ++i) {
+    SCOPED_TRACE("index " + std::to_string(i));
+    expect_same_wait(max_wait_bound(slot, i), max_wait_bound_reference(slot, i), "bound");
+    expect_same_wait(max_wait_lower_bound(slot, i), max_wait_lower_bound_reference(slot, i),
+                     "lower bound");
+    try {
+      const auto fp = max_wait_fixed_point(slot, i);
+      expect_same_wait(fp, max_wait_fixed_point_reference(slot, i), "fixed point");
+    } catch (const NumericalError&) {
+      EXPECT_THROW(max_wait_fixed_point_reference(slot, i), NumericalError);
     }
   }
+}
+
+TEST(SlotAnalysisGolden, RandomSlotsAllFamiliesBitIdentical) {
+  // Slots of 1..12 applications in all four model families, drawn from
+  // light (allocator ablation), wide (bound ablation) and near-saturation
+  // ranges; both wait methods.
+  Rng rng(0x51075107ULL);
+  const experiments::RandomAppRanges ranges[] = {experiments::allocator_ablation_ranges(),
+                                                 experiments::bounds_ablation_ranges(),
+                                                 near_saturation_ranges()};
+  SlotDiffCounts counts;
+  for (int trial = 0; trial < 288; ++trial) {
+    const int n = 1 + trial % 12;
+    const int family = (trial / 12) % 4;
+    const auto slot = family_instance(rng, n, family, ranges[(trial / 48) % 3]);
+    for (const auto method : {MaxWaitMethod::kClosedFormBound, MaxWaitMethod::kFixedPoint}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " method " +
+                   std::to_string(static_cast<int>(method)));
+      expect_slot_matches_reference(slot, method, counts);
+    }
+  }
+  EXPECT_GE(counts.compared, 500);
+  EXPECT_GE(counts.saturated, 20) << "too few saturated slots drawn";
+}
+
+TEST(SlotAnalysisGolden, NearSaturationFixedPointBitIdentical) {
+  // The higher-priority members' inter-arrival times are rescaled so
+  // their interference utilization lands just below, at or just above 1:
+  // the fixed point then takes many steps, passes its iteration cap
+  // (NumericalError from both sides), or the slot saturates.
+  constexpr double kGaps[] = {1e-2, 1e-4, 1e-7, 1e-10, 0.0, -1e-3};
+  Rng rng(0x5A7u);
+  SlotDiffCounts counts;
+  for (int trial = 0; trial < 96; ++trial) {
+    const int n = 2 + trial % 11;
+    auto slot = family_instance(rng, n, (trial / 11) % 4, near_saturation_ranges());
+    sort_by_priority(slot);
+    const double target = 1.0 - kGaps[trial % 6];
+    const double share = target / static_cast<double>(n - 1);
+    for (int j = 0; j + 1 < n; ++j) {
+      auto& app = slot[static_cast<std::size_t>(j)];
+      app.min_inter_arrival = app.model->max_dwell() / share;
+    }
+    for (const auto method : {MaxWaitMethod::kClosedFormBound, MaxWaitMethod::kFixedPoint}) {
+      SCOPED_TRACE("trial " + std::to_string(trial) + " method " +
+                   std::to_string(static_cast<int>(method)));
+      expect_slot_matches_reference(slot, method, counts);
+    }
+  }
+  EXPECT_GE(counts.saturated, 10) << "too few saturated slots drawn";
+  EXPECT_GE(counts.diverged, 5) << "too few diverging fixed points drawn";
 }
 
 TEST(AllocatorGolden, PaperTableIBitIdentical) {
@@ -183,15 +305,24 @@ TEST(AllocatorGolden, FixedPointMethodRandomInstances) {
 }
 
 TEST(AllocatorGolden, HeuristicsStillProduceSchedulableSlots) {
-  // first_fit/best_fit now run on the memoized feasibility engine; their
-  // verdicts must still agree with the full per-slot analysis.
+  // first_fit/best_fit run on the memoized feasibility engine and build
+  // their analyses from its facts; every slot must be schedulable and its
+  // analysis must equal the frozen analysis of the slot's members.
   Rng rng(0x0DDBA11ULL);
   for (int trial = 0; trial < 40; ++trial) {
     const auto set = experiments::random_sched_params(
         rng, 3 + trial % 8, experiments::allocator_ablation_ranges());
     try {
       for (const auto& alloc : {first_fit_allocate(set), best_fit_allocate(set)}) {
-        for (const auto& analysis : alloc.analyses) EXPECT_TRUE(analysis.all_schedulable);
+        for (std::size_t s = 0; s < alloc.slot_count(); ++s) {
+          EXPECT_TRUE(alloc.analyses[s].all_schedulable);
+          std::vector<AppSchedParams> members;
+          for (const auto& name : alloc.slots[s])
+            for (const auto& app : set)
+              if (app.name == name) members.push_back(app);
+          ASSERT_EQ(members.size(), alloc.slots[s].size());
+          expect_same_analysis(alloc.analyses[s], analyze_slot_reference(members));
+        }
       }
     } catch (const InfeasibleError&) {
       // Infeasible even on dedicated slots — nothing to check.

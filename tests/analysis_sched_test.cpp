@@ -56,17 +56,19 @@ TEST(BlockingTest, MaxOverLowerPriorityDwells) {
   double expected = 0.0;
   for (std::size_t k = 1; k < apps.size(); ++k)
     expected = std::max(expected, apps[k].model->max_dwell());
-  EXPECT_DOUBLE_EQ(blocking_term(apps, 0), expected);
+  const SlotAnalysis analysis = analyze_slot(apps);
+  EXPECT_DOUBLE_EQ(analysis.results[0].blocking, expected);
   // The lowest-priority app has no one below: zero blocking.
-  EXPECT_DOUBLE_EQ(blocking_term(apps, apps.size() - 1), 0.0);
+  EXPECT_DOUBLE_EQ(analysis.results.back().blocking, 0.0);
 }
 
 TEST(InterferenceTest, UtilizationSum) {
   auto apps = paper_apps();
   // m for C2 (index 2) = xi_m3 / r3 + xi_m6 / r6.
   const double expected = 0.64 / 15.0 + 0.92 / 6.0;
-  EXPECT_NEAR(interference_utilization(apps, 2), expected, 1e-12);
-  EXPECT_DOUBLE_EQ(interference_utilization(apps, 0), 0.0);
+  const SlotAnalysis analysis = analyze_slot(apps);
+  EXPECT_NEAR(analysis.results[2].interference_util, expected, 1e-12);
+  EXPECT_DOUBLE_EQ(analysis.results[0].interference_util, 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -139,17 +141,18 @@ TEST(FixedPointTest, EqualsBlockingWhenNoHigherPriority) {
   auto apps = paper_apps();
   const auto fp = max_wait_fixed_point(apps, 0);
   ASSERT_TRUE(fp.has_value());
-  EXPECT_DOUBLE_EQ(*fp, blocking_term(apps, 0));
+  EXPECT_DOUBLE_EQ(*fp, analyze_slot(apps).results[0].blocking);
 }
 
 TEST(FixedPointTest, SatisfiesRecurrence) {
   auto apps = paper_apps();
+  const SlotAnalysis analysis = analyze_slot(apps);
   for (std::size_t i = 0; i < apps.size(); ++i) {
     const auto fp = max_wait_fixed_point(apps, i);
     ASSERT_TRUE(fp.has_value()) << i;
     // k = a + sum ceil(k / r_j) xi_m_j must hold at the fixed point (with
     // at least one arrival per higher-priority app).
-    double rhs = blocking_term(apps, i);
+    double rhs = analysis.results[i].blocking;
     for (std::size_t j = 0; j < i; ++j) {
       const double arrivals =
           std::max(1.0, std::ceil(*fp / apps[j].min_inter_arrival - 1e-12));
@@ -177,8 +180,9 @@ TEST_P(BoundBracketing, FixedPointLiesWithinTheClosedFormBounds) {
     apps.push_back(make_app("A" + std::to_string(i), r, deadline, xi_tt, xi_m, k_p, xi_et));
   }
   sort_by_priority(apps);
+  const SlotAnalysis analysis = analyze_slot(apps);
   for (std::size_t i = 0; i < apps.size(); ++i) {
-    if (interference_utilization(apps, i) >= 1.0) continue;
+    if (analysis.results[i].interference_util >= 1.0) continue;
     const auto lower = max_wait_lower_bound(apps, i);
     const auto upper = max_wait_bound(apps, i);
     const auto fp = max_wait_fixed_point(apps, i);
