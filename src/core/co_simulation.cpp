@@ -81,12 +81,13 @@ CoSimulationResult CoSimulator::run() const {
   std::vector<linalg::Vector> state;
   state.reserve(n_apps);
   for (const auto& e : entries_) {
-    linalg::Vector x0 = e.app->disturbed_state();
     // Start in steady state (zero) unless a disturbance hits at t = 0.
-    state.push_back(linalg::Vector::zero(x0.size()));
+    state.push_back(linalg::Vector::zero(e.app->disturbed_state().size()));
   }
+  std::vector<double> norm(n_apps);  // threshold norm of state[i] this step
   std::vector<std::size_t> next_disturbance(n_apps, 0);
   std::vector<std::vector<sim::Sample>> samples(n_apps);
+  for (auto& s : samples) s.reserve(steps + 1);
   // Slot owner: n_apps = free.
   std::vector<std::size_t> slot_owner(n_slots, n_apps);
   std::vector<double> max_tt_delay(n_apps, 0.0), max_et_delay(n_apps, 0.0);
@@ -95,30 +96,37 @@ CoSimulationResult CoSimulator::run() const {
     tl.sampling_period = h;
     tl.owner.reserve(steps + 1);
   }
+  // Per-run scratch of a step's ET transmissions: the requests, the app
+  // each one belongs to, and the arbitration results.
+  std::vector<flexray::TransmissionRequest> et_requests;
+  std::vector<std::size_t> et_app;
+  std::vector<flexray::TransmissionResult> et_results;
+  flexray::DynamicSegmentArbiter::Workspace et_workspace;
+  et_requests.reserve(n_apps);
+  et_app.reserve(n_apps);
+  et_results.reserve(n_apps);
+  et_workspace.pending.reserve(n_apps);
 
   for (std::size_t k = 0; k <= steps; ++k) {
     const double t = static_cast<double>(k) * h;
 
-    // 1. Disturbances due in [t, t + h) displace the state.
+    // 1. Disturbances due by t displace the state.
     for (std::size_t i = 0; i < n_apps; ++i) {
       auto& e = entries_[i];
       while (next_disturbance[i] < e.disturbances.size() &&
-             e.disturbances[next_disturbance[i]] < t + h &&
              e.disturbances[next_disturbance[i]] <= t) {
         state[i] = e.app->disturbed_state();
         ++next_disturbance[i];
       }
+      norm[i] = e.app->switched_system().threshold_norm(state[i]);
     }
 
     // 2. Owners back in steady state release their slot.
     for (std::size_t s = 0; s < n_slots; ++s) {
       const std::size_t owner = slot_owner[s];
-      if (owner != n_apps) {
-        const auto& sys = entries_[owner].app->switched_system();
-        if (sys.threshold_norm(state[owner]) <=
-            options_.release_factor * entries_[owner].app->timing().threshold)
-          slot_owner[s] = n_apps;
-      }
+      if (owner != n_apps &&
+          norm[owner] <= options_.release_factor * entries_[owner].app->timing().threshold)
+        slot_owner[s] = n_apps;
     }
 
     // 3. Grant each free slot to its highest-priority transient requester.
@@ -127,8 +135,7 @@ CoSimulationResult CoSimulator::run() const {
       for (std::size_t rank = 0; rank < n_apps; ++rank) {
         const std::size_t i = priority_order[rank];
         if (entries_[i].slot != s) continue;
-        const auto& sys = entries_[i].app->switched_system();
-        if (sys.threshold_norm(state[i]) > entries_[i].app->timing().threshold) {
+        if (norm[i] > entries_[i].app->timing().threshold) {
           slot_owner[s] = i;
           break;
         }
@@ -139,33 +146,32 @@ CoSimulationResult CoSimulator::run() const {
     for (std::size_t s = 0; s < n_slots; ++s)
       timelines[s].owner.push_back(slot_owner[s] == n_apps ? SlotTimeline::npos
                                                            : slot_owner[s]);
-    std::vector<flexray::TransmissionRequest> et_requests;
+    et_requests.clear();
+    et_app.clear();
     for (std::size_t i = 0; i < n_apps; ++i) {
       const auto& e = entries_[i];
       const bool holds_slot = slot_owner[e.slot] == i;
       const sim::Mode mode = holds_slot ? sim::Mode::kTimeTriggered : sim::Mode::kEventTriggered;
-      const auto& sys = e.app->switched_system();
-      samples[i].push_back(sim::Sample{state[i], sys.threshold_norm(state[i]), mode});
+      samples[i].push_back(sim::Sample{state[i], norm[i], mode});
 
       if (options_.simulate_bus && k < steps) {
         if (holds_slot) {
-          bus.static_schedule().assign(e.slot, frame_of[i]);
-          const auto tx = bus.transmit_static(frame_of[i], t);
-          max_tt_delay[i] = std::max(max_tt_delay[i], tx.delay());
-          bus.static_schedule().release(e.slot);
+          // The holder owns its static slot in every cycle: the message
+          // completes at the end of the slot's first occurrence at or
+          // after t.
+          const double completion = bus.static_schedule().completion_time(e.slot, t);
+          max_tt_delay[i] = std::max(max_tt_delay[i], completion - t);
         } else {
           et_requests.push_back(flexray::TransmissionRequest{frame_of[i], t});
+          et_app.push_back(i);
         }
       }
-      if (k < steps) state[i] = sys.step(state[i], mode);
+      if (k < steps) state[i] = e.app->switched_system().step(state[i], mode);
     }
-    if (options_.simulate_bus && !et_requests.empty()) {
-      for (const auto& tx : bus.transmit_dynamic(std::move(et_requests))) {
-        for (std::size_t i = 0; i < n_apps; ++i) {
-          if (frame_of[i] == tx.frame_id)
-            max_et_delay[i] = std::max(max_et_delay[i], tx.delay());
-        }
-      }
+    if (!et_requests.empty()) {
+      bus.dynamic_segment().arbitrate_into(et_requests, et_results, et_workspace);
+      for (std::size_t j = 0; j < et_results.size(); ++j)
+        max_et_delay[et_app[j]] = std::max(max_et_delay[et_app[j]], et_results[j].delay());
     }
   }
 

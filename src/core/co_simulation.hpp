@@ -2,19 +2,24 @@
 // scheme (paper Fig. 1 state machine, producing Fig. 5).
 //
 // All applications run with a common sampling period h on a shared FlexRay
-// bus.  Per control step:
-//   1. disturbances due in this step displace the plant state;
+// bus.  Per control step k (time t = k * h):
+//   1. disturbances due by t displace the plant state: one arriving at
+//      tau hits at the first step with k * h >= tau;
 //   2. slot owners back in steady state (||x|| <= E_th) release their slot;
 //   3. transient applications (||x|| > E_th) request their allocated slot;
 //      the highest-priority requester is granted if the slot is free
 //      (non-preemptive: a busy slot is never taken away);
 //   4. every application evolves one step under its active mode's closed
 //      loop (TT if it holds the slot, ET otherwise) and its control
-//      message transits the bus (static slot vs dynamic segment), which
-//      the transmission log records.
+//      message, released at t, transits the bus: over its static slot
+//      while it holds the slot, through the dynamic-segment arbitration
+//      against the step's other ET messages otherwise.  The largest delay
+//      of each kind is kept per application.
 //
 // Response times per disturbance and deadline verdicts are derived from
-// the recorded norm trajectories afterwards.
+// the recorded norm trajectories afterwards.  After setup a step
+// allocates nothing: the samples are reserved for the horizon and the ET
+// arbitration reuses per-run scratch.
 #pragma once
 
 #include <cstddef>

@@ -26,8 +26,8 @@ TransmissionResult FlexRayBus::transmit_static(std::size_t frame_id, double rele
 }
 
 std::vector<TransmissionResult> FlexRayBus::transmit_dynamic(
-    std::vector<TransmissionRequest> requests) {
-  auto results = dynamic_.arbitrate(std::move(requests));
+    const std::vector<TransmissionRequest>& requests) {
+  auto results = dynamic_.arbitrate(requests);
   for (const auto& r : results) log_.push_back(r);
   return results;
 }

@@ -2,8 +2,11 @@
 // segment arbiter behind one transmit API, with an event log.
 //
 // The co-simulation layer (core/) moves each application's control message
-// through this bus: over its granted static slot while the application
-// holds TT access, over the dynamic segment otherwise.
+// through this bus's two segments: over its granted static slot while the
+// application holds TT access, over the dynamic segment otherwise.  It
+// drives static_schedule() and dynamic_segment() directly (the allocation-
+// free arbitrate_into), so its messages do not enter the log; transmit_*
+// serve one-off transmissions.
 #pragma once
 
 #include <cstddef>
@@ -39,7 +42,7 @@ class FlexRayBus {
   /// set of competing requests released in the same window (the frame's
   /// own request must be included).  Results in request order.
   std::vector<TransmissionResult> transmit_dynamic(
-      std::vector<TransmissionRequest> requests);
+      const std::vector<TransmissionRequest>& requests);
 
   /// Worst-case delay for `frame_id` over the dynamic segment.
   double worst_case_dynamic_delay(std::size_t frame_id) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -25,59 +26,97 @@ void DynamicSegmentArbiter::register_frame(const FrameSpec& spec) {
 }
 
 const FrameSpec& DynamicSegmentArbiter::spec_of(std::size_t frame_id) const {
-  for (const auto& f : frames_)
-    if (f.frame_id == frame_id) return f;
-  throw InvalidArgument("dynamic frame id " + std::to_string(frame_id) + " not registered");
+  const auto it = std::lower_bound(
+      frames_.begin(), frames_.end(), frame_id,
+      [](const FrameSpec& f, std::size_t id) { return f.frame_id < id; });
+  if (it == frames_.end() || it->frame_id != frame_id)
+    throw InvalidArgument("dynamic frame id " + std::to_string(frame_id) + " not registered");
+  return *it;
+}
+
+std::size_t DynamicSegmentArbiter::first_admitting_cycle(double release) const {
+  const double static_len = config_.static_segment_length();
+  // floor() estimates the cycle; the two loops correct its rounding with
+  // the exact admission test the cycle loop applies, so no admitting
+  // cycle is skipped and no idle one is visited.
+  const double estimate =
+      release > static_len ? std::floor((release - static_len) / config_.cycle_length) : 0.0;
+  CPS_ENSURE(estimate < 0x1p53, "arbitrate: release time beyond the cycle counter's range");
+  std::size_t cycle = static_cast<std::size_t>(estimate);
+  while (cycle > 0 && release <= config_.cycle_start(cycle - 1) + static_len) --cycle;
+  while (release > config_.cycle_start(cycle) + static_len) ++cycle;
+  return cycle;
 }
 
 std::vector<TransmissionResult> DynamicSegmentArbiter::arbitrate(
-    std::vector<TransmissionRequest> requests) const {
-  for (const auto& r : requests) {
-    CPS_ENSURE(r.release_time >= 0.0, "arbitrate: release time must be non-negative");
-    spec_of(r.frame_id);  // validates registration
+    const std::vector<TransmissionRequest>& requests) const {
+  std::vector<TransmissionResult> results;
+  Workspace workspace;
+  arbitrate_into(requests, results, workspace);
+  return results;
+}
+
+void DynamicSegmentArbiter::arbitrate_into(const std::vector<TransmissionRequest>& requests,
+                                           std::vector<TransmissionResult>& results,
+                                           Workspace& workspace) const {
+  auto& pending = workspace.pending;
+  pending.clear();
+  double earliest = std::numeric_limits<double>::infinity();  // pending release
+  for (std::size_t i = 0; i < requests.size(); ++i) {
+    const double release = requests[i].release_time;
+    CPS_ENSURE(std::isfinite(release) && release >= 0.0,
+               "arbitrate: release time must be finite and non-negative");
+    pending.push_back({i, spec_of(requests[i].frame_id).payload_minislots});
+    earliest = std::min(earliest, release);
   }
+  results.assign(requests.size(), TransmissionResult{});
 
-  std::vector<TransmissionResult> results(requests.size());
-  std::vector<bool> done(requests.size(), false);
-  std::size_t remaining = requests.size();
+  // Service order: frame id (priority), then release, then request order.
+  // Every cycle serves its released requests in this one order, so it is
+  // sorted once, not per cycle.
+  std::sort(pending.begin(), pending.end(),
+            [&](const Workspace::Pending& a, const Workspace::Pending& b) {
+              const TransmissionRequest& ra = requests[a.request];
+              const TransmissionRequest& rb = requests[b.request];
+              if (ra.frame_id != rb.frame_id) return ra.frame_id < rb.frame_id;
+              if (ra.release_time != rb.release_time) return ra.release_time < rb.release_time;
+              return a.request < b.request;
+            });
 
-  // Cycle-by-cycle simulation.  Within a cycle the dynamic segment starts
-  // after the static segment; pending requests are served in frame-id
-  // order while their payload fits into the minislots left.
-  for (std::size_t cycle = 0; remaining > 0; ++cycle) {
+  // Cycle-by-cycle simulation, skipping every cycle that admits no
+  // pending request.  Within a cycle the dynamic segment starts after the
+  // static segment; eligible requests are served in order while their
+  // payload fits into the minislots left.  Served requests leave `pending`.
+  const std::size_t total_minislots = config_.minislot_count();
+  for (std::size_t cycle = 0; !pending.empty(); ++cycle) {
+    cycle = std::max(cycle, first_admitting_cycle(earliest));
     const double dyn_start = config_.cycle_start(cycle) + config_.static_segment_length();
-    const std::size_t total_minislots = config_.minislot_count();
     std::size_t counter = 0;  // consumed minislots in this cycle
-
-    // Requests eligible this cycle, ordered by priority then release.
-    std::vector<std::size_t> eligible;
-    for (std::size_t i = 0; i < requests.size(); ++i)
-      if (!done[i] && requests[i].release_time <= dyn_start) eligible.push_back(i);
-    std::sort(eligible.begin(), eligible.end(), [&](std::size_t a, std::size_t b) {
-      if (requests[a].frame_id != requests[b].frame_id)
-        return requests[a].frame_id < requests[b].frame_id;
-      return requests[a].release_time < requests[b].release_time;
-    });
-
-    for (std::size_t i : eligible) {
-      const FrameSpec& spec = spec_of(requests[i].frame_id);
-      if (counter + spec.payload_minislots > total_minislots) {
+    std::size_t kept = 0;
+    earliest = std::numeric_limits<double>::infinity();
+    for (const Workspace::Pending p : pending) {
+      const TransmissionRequest& r = requests[p.request];
+      if (r.release_time > dyn_start) {
+        earliest = std::min(earliest, r.release_time);
+        pending[kept++] = p;
+        continue;
+      }
+      if (counter + p.payload_minislots > total_minislots) {
         // Does not fit any more this cycle: one empty minislot elapses for
         // the passed-over identifier (if any room remains).
         if (counter < total_minislots) ++counter;
+        earliest = std::min(earliest, r.release_time);
+        pending[kept++] = p;
         continue;
       }
-      counter += spec.payload_minislots;
-      results[i].frame_id = requests[i].frame_id;
-      results[i].release_time = requests[i].release_time;
-      results[i].completion_time =
+      counter += p.payload_minislots;
+      const double completion =
           dyn_start + static_cast<double>(counter) * config_.minislot_length;
-      results[i].segment = Segment::kDynamic;
-      done[i] = true;
-      --remaining;
+      results[p.request] =
+          TransmissionResult{r.frame_id, r.release_time, completion, Segment::kDynamic};
     }
+    pending.resize(kept);
   }
-  return results;
 }
 
 double DynamicSegmentArbiter::worst_case_delay(std::size_t frame_id) const {

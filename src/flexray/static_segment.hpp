@@ -58,7 +58,8 @@ class StaticSchedule {
 
   /// Completion time of a transmission of the frame owning `slot`,
   /// released at `release_time`: end of the first owned occurrence of the
-  /// slot starting at or after the release.
+  /// slot starting at or after the release.  An unassigned slot times as
+  /// one owned in every cycle.
   double completion_time(std::size_t slot, double release_time) const;
 
   /// Worst-case static-segment delay for `slot`'s assignment: just missing

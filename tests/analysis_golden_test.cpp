@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "allocation_checks.hpp"
 #include "analysis/dwell_wait_model.hpp"
 #include "analysis/slot_allocation.hpp"
 #include "control/loop_design.hpp"
@@ -118,43 +119,6 @@ TEST(DwellWaitGolden, RandomStableSystemsBitIdentical) {
     }
   }
   EXPECT_GE(measured, 10) << "random-system generator produced too few settling draws";
-}
-
-/// Bitwise double equality: tells -0.0 from 0.0 and matches NaN payloads.
-void expect_bits(double optimized, double reference, const char* field) {
-  EXPECT_TRUE(bits_equal(optimized, reference))
-      << field << ": " << optimized << " vs reference " << reference;
-}
-
-/// Every AppSchedResult field, doubles bit for bit.
-void expect_same_result(const AppSchedResult& a, const AppSchedResult& b) {
-  EXPECT_EQ(a.name, b.name);
-  expect_bits(a.blocking, b.blocking, "blocking");
-  expect_bits(a.interference_util, b.interference_util, "interference_util");
-  expect_bits(a.max_wait, b.max_wait, "max_wait");
-  expect_bits(a.response, b.response, "response");
-  expect_bits(a.deadline, b.deadline, "deadline");
-  EXPECT_EQ(a.schedulable, b.schedulable);
-  EXPECT_EQ(a.utilization_feasible, b.utilization_feasible);
-}
-
-void expect_same_analysis(const SlotAnalysis& a, const SlotAnalysis& b) {
-  EXPECT_EQ(a.all_schedulable, b.all_schedulable);
-  ASSERT_EQ(a.results.size(), b.results.size());
-  for (std::size_t i = 0; i < a.results.size(); ++i) {
-    SCOPED_TRACE("member " + std::to_string(i));
-    expect_same_result(a.results[i], b.results[i]);
-  }
-}
-
-void expect_same_allocation(const Allocation& optimized, const Allocation& reference) {
-  ASSERT_EQ(optimized.slot_count(), reference.slot_count());
-  EXPECT_EQ(optimized.slots, reference.slots);  // same apps, same slots, same order
-  ASSERT_EQ(optimized.analyses.size(), reference.analyses.size());
-  for (std::size_t s = 0; s < optimized.analyses.size(); ++s) {
-    SCOPED_TRACE("slot " + std::to_string(s));
-    expect_same_analysis(optimized.analyses[s], reference.analyses[s]);
-  }
 }
 
 /// The same value or both absent, bit for bit.

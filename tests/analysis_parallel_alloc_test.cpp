@@ -13,6 +13,7 @@
 #include <random>
 #include <vector>
 
+#include "allocation_checks.hpp"
 #include "analysis/dwell_wait_model.hpp"
 #include "analysis/slot_allocation.hpp"
 #include "experiments/fixtures.hpp"
@@ -24,20 +25,6 @@ namespace {
 
 using namespace cps;
 using namespace cps::analysis;
-
-void expect_same_allocation(const Allocation& a, const Allocation& b) {
-  ASSERT_EQ(a.slot_count(), b.slot_count());
-  EXPECT_EQ(a.slots, b.slots);  // same apps, same slots, same order
-  ASSERT_EQ(a.analyses.size(), b.analyses.size());
-  for (std::size_t s = 0; s < a.analyses.size(); ++s) {
-    ASSERT_EQ(a.analyses[s].results.size(), b.analyses[s].results.size());
-    for (std::size_t i = 0; i < a.analyses[s].results.size(); ++i) {
-      EXPECT_EQ(a.analyses[s].results[i].name, b.analyses[s].results[i].name);
-      EXPECT_EQ(a.analyses[s].results[i].max_wait, b.analyses[s].results[i].max_wait);
-      EXPECT_EQ(a.analyses[s].results[i].response, b.analyses[s].results[i].response);
-    }
-  }
-}
 
 TEST(ParallelAllocTest, OptimumInvariantUnderInputPermutations) {
   // The exact optimum is a property of the application SET; shuffling the

@@ -4,6 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <fstream>
+#include <map>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "analysis/slot_allocation.hpp"
 #include "core/pipeline.hpp"
@@ -19,15 +27,22 @@ namespace {
 using namespace cps;
 using namespace cps::core;
 
-/// Build the synthesized Table I fleet as ControlApplications.
-std::vector<ControlApplication> synthesized_applications() {
+/// Build synthesized applications as ControlApplications.
+std::vector<ControlApplication> applications_of(
+    const std::vector<plants::SynthesizedApp>& fleet) {
   std::vector<ControlApplication> apps;
-  for (const auto& item : plants::synthesize_fleet()) {
+  apps.reserve(fleet.size());  // the co-simulator keeps pointers into apps
+  for (const auto& item : fleet) {
     auto design = control::design_hybrid_loops(item.plant, item.spec);
     TimingRequirements req{item.target.r, item.target.xi_d, item.threshold};
     apps.emplace_back(item.target.name, std::move(design), req, item.x0);
   }
   return apps;
+}
+
+/// The synthesized Table I fleet.
+std::vector<ControlApplication> synthesized_applications() {
+  return applications_of(plants::synthesize_fleet());
 }
 
 TEST(IntegrationTest, FullPipelineOnSynthesizedFleetMeetsAllDeadlines) {
@@ -219,6 +234,189 @@ TEST(IntegrationTest, ReportsRenderForTheFullFleet) {
   EXPECT_FALSE(render_cosim(*result.verification).empty());
   for (const auto& app : result.verification->apps)
     EXPECT_FALSE(render_response_ascii(app, 0.1).empty());
+}
+
+/// FNV-1a over a co-simulation result, doubles by bit pattern.
+class ResultDigest {
+ public:
+  void add_byte(unsigned char b) {
+    hash_ ^= b;
+    hash_ *= 0x100000001B3ULL;
+  }
+  void add(std::uint64_t v) {
+    for (int i = 0; i < 8; ++i) add_byte(static_cast<unsigned char>(v >> (8 * i)));
+  }
+  void add(double v) {
+    std::uint64_t bits = 0;
+    std::memcpy(&bits, &v, sizeof bits);
+    add(bits);
+  }
+  void add(const std::string& s) {
+    add(static_cast<std::uint64_t>(s.size()));
+    for (char c : s) add_byte(static_cast<unsigned char>(c));
+  }
+  void add(const std::vector<double>& values) {
+    add(static_cast<std::uint64_t>(values.size()));
+    for (double v : values) add(v);
+  }
+  std::string hex() const {
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(hash_));
+    return buf;
+  }
+
+ private:
+  std::uint64_t hash_ = 0xCBF29CE484222325ULL;
+};
+
+/// Digest of a co-simulation result: the mode of every step, slot
+/// timelines, response times, deadline verdicts and the observed bus
+/// delays, doubles bit for bit.  The raw states and norms are left out:
+/// the loop designs' gains, and so the trajectories, differ in the last
+/// bits between optimized and unoptimized builds; fig5_responses.csv
+/// pins the norms at its printed precision.
+std::string cosim_digest(const CoSimulationResult& result) {
+  ResultDigest d;
+  d.add(static_cast<std::uint64_t>(result.all_deadlines_met));
+  d.add(static_cast<std::uint64_t>(result.apps.size()));
+  for (const auto& app : result.apps) {
+    d.add(app.name);
+    d.add(static_cast<std::uint64_t>(app.slot));
+    d.add(app.trajectory.sampling_period());
+    d.add(static_cast<std::uint64_t>(app.trajectory.length()));
+    for (const auto& sample : app.trajectory.samples())
+      d.add(static_cast<std::uint64_t>(sample.mode == sim::Mode::kTimeTriggered));
+    d.add(app.disturbance_times);
+    d.add(app.response_times);
+    d.add(static_cast<std::uint64_t>(app.all_deadlines_met));
+    d.add(app.worst_response);
+    d.add(static_cast<std::uint64_t>(app.steady_state_excursions));
+    d.add(app.max_tt_delay);
+    d.add(app.max_et_delay);
+  }
+  d.add(static_cast<std::uint64_t>(result.slots.size()));
+  for (const auto& slot : result.slots) {
+    d.add(slot.sampling_period);
+    d.add(static_cast<std::uint64_t>(slot.owner.size()));
+    for (std::size_t owner : slot.owner) d.add(static_cast<std::uint64_t>(owner));
+  }
+  return d.hex();
+}
+
+/// One pinned co-simulation: slot and disturbances per application.
+struct CoSimCase {
+  std::string name;
+  const std::vector<ControlApplication>* fleet;
+  std::vector<std::size_t> slots;
+  std::vector<std::vector<double>> disturbances;
+  CoSimulationOptions options;
+};
+
+TEST(CoSimDigestTest, OutputsMatchTheFrozenDigests) {
+  // Pins what no CSV golden covers: per-step modes, slot timelines,
+  // response times and the observed TT/ET bus delays, over the paper
+  // fleet and two synthesized fleets, several slot maps, multi-disturbance
+  // schedules, release factors and bus geometries (a dynamic segment too
+  // short for every frame, a cycle that does not divide the sampling
+  // period).  tests/golden/cosim_digests.txt holds one "<case> <digest>"
+  // line per case, generated before the linear-time arbiter.
+  const auto paper = synthesized_applications();
+  const auto extra6 = applications_of(plants::synthesize_extra_fleet(6, 0xC05111ULL));
+  const auto extra8 = applications_of(plants::synthesize_extra_fleet(8, 0xF1EE7ULL));
+
+  auto paper_slot = [](const std::string& name) -> std::size_t {
+    if (name == "C3" || name == "C6") return 0;
+    if (name == "C2" || name == "C4") return 1;
+    return 2;  // C5, C1
+  };
+  auto make = [](std::string name, const std::vector<ControlApplication>& fleet,
+                 auto slot_of, auto disturbances_of) {
+    CoSimCase c{std::move(name), &fleet, {}, {}, {}};
+    for (std::size_t i = 0; i < fleet.size(); ++i) {
+      c.slots.push_back(slot_of(i));
+      c.disturbances.push_back(disturbances_of(i));
+    }
+    return c;
+  };
+  auto at_zero = [](std::size_t) { return std::vector<double>{0.0}; };
+  auto staggered = [](std::size_t i) {
+    const double di = static_cast<double>(i);
+    return std::vector<double>{0.013 * di, 4.0 + 0.5 * di, 9.37};
+  };
+  auto paper_slots = [&](std::size_t i) { return paper_slot(paper[i].name()); };
+  auto one_slot = [](std::size_t) { return std::size_t{0}; };
+  auto own_slots = [](std::size_t i) { return i; };
+
+  std::vector<CoSimCase> cases;
+  cases.push_back(make("paper_fig5", paper, paper_slots, at_zero));
+  cases.push_back(make("paper_one_slot", paper, one_slot, at_zero));
+  cases.push_back(make("paper_own_slots", paper, own_slots, at_zero));
+  {
+    auto c = make("paper_staggered_hysteresis", paper, paper_slots, staggered);
+    c.options.horizon = 14.0;
+    c.options.release_factor = 0.5;
+    cases.push_back(std::move(c));
+  }
+  {
+    auto c = make("paper_staggered_no_bus", paper, paper_slots, staggered);
+    c.options.simulate_bus = false;
+    cases.push_back(std::move(c));
+  }
+  {
+    // 20 minislots: five 4-minislot frames per cycle, so ET frames are
+    // passed over and wait for later cycles.
+    auto c = make("paper_one_slot_short_dynamic_segment", paper, one_slot, staggered);
+    c.options.bus_config.minislot_length = 0.00015;
+    c.options.release_factor = 0.8;
+    cases.push_back(std::move(c));
+  }
+  {
+    // 3.5 ms cycle, 8 static slots: releases at k * 20 ms fall at every
+    // phase of the cycle.
+    auto c = make("paper_odd_cycle", paper, paper_slots, staggered);
+    c.options.bus_config.cycle_length = 0.0035;
+    c.options.bus_config.static_slot_count = 8;
+    cases.push_back(std::move(c));
+  }
+  cases.push_back(make("extra6_two_slots", extra6, [](std::size_t i) { return i % 2; },
+                       at_zero));
+  {
+    auto c = make("extra6_one_slot_staggered", extra6, one_slot, staggered);
+    c.options.release_factor = 0.7;
+    c.options.horizon = 11.0;
+    cases.push_back(std::move(c));
+  }
+  {
+    auto c = make("extra8_three_slots_short_dynamic_segment", extra8,
+                  [](std::size_t i) { return i % 3; },
+                  [](std::size_t i) {
+                    return std::vector<double>{0.0, 5.0 + 0.02 * static_cast<double>(i)};
+                  });
+    c.options.bus_config.minislot_length = 0.00015;
+    c.options.release_factor = 0.7;
+    cases.push_back(std::move(c));
+  }
+  {
+    auto c = make("extra8_one_slot_6ms_cycle", extra8, one_slot,
+                  [](std::size_t) { return std::vector<double>{0.0, 6.0}; });
+    c.options.bus_config.cycle_length = 0.006;
+    cases.push_back(std::move(c));
+  }
+
+  std::map<std::string, std::string> golden;
+  {
+    std::ifstream in(std::string(CPS_REPO_DIR) + "/tests/golden/cosim_digests.txt");
+    ASSERT_TRUE(in.good()) << "cannot open tests/golden/cosim_digests.txt";
+    std::string name, digest;
+    while (in >> name >> digest) golden[name] = digest;
+  }
+  EXPECT_EQ(golden.size(), cases.size());
+  for (const auto& c : cases) {
+    CoSimulator cosim(c.options);
+    for (std::size_t i = 0; i < c.fleet->size(); ++i)
+      cosim.add_application((*c.fleet)[i], c.slots[i], c.disturbances[i]);
+    EXPECT_EQ(cosim_digest(cosim.run()), golden[c.name]) << c.name;
+  }
 }
 
 }  // namespace

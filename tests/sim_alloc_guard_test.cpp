@@ -1,11 +1,12 @@
-// Allocation-guard tests for the per-step simulation loops and the exact
-// slot allocator's per-node search.
+// Allocation-guard tests for the per-step simulation loops, the
+// co-simulation step and the exact slot allocator's per-node search.
 //
 // This binary replaces the global operator new/new[] with counting
 // wrappers (malloc-backed, so ASan still tracks every block) and asserts
 // the core contract of the PR-3 rework: the settle, trajectory and jitter
-// inner loops — and the batched settle (linalg/batch_kernels.hpp) —
-// perform ZERO heap allocations per step.  The assertion is
+// inner loops — and the batched settle (linalg/batch_kernels.hpp) and
+// the co-simulation step (core/co_simulation.hpp) — perform ZERO heap
+// allocations per step.  The assertion is
 // made robust by comparison, not by absolute counts: running the same
 // kernel for N and for 4N steps must allocate the identical number of
 // blocks (the setup cost), so any per-step allocation fails the test by a
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "analysis/slot_allocation.hpp"
+#include "core/co_simulation.hpp"
 #include "experiments/fixtures.hpp"
 #include "linalg/batch_kernels.hpp"
 #include "linalg/kernels.hpp"
@@ -226,6 +228,27 @@ TEST(AllocGuard, InlineMatrixArithmeticNeverTouchesTheHeap) {
     }
   });
   EXPECT_EQ(allocs, 0u);
+}
+
+TEST(AllocGuard, CoSimulationStepIsAllocationFree) {
+  // The paper fleet on its Fig. 5 slots, every message through the bus:
+  // TT slots, ET arbitration and the slot state machine all run per step.
+  const auto apps = experiments::build_paper_fleet();
+  auto cosim_over = [&](double horizon) {
+    core::CoSimulationOptions options;
+    options.horizon = horizon;
+    core::CoSimulator cosim(options);
+    for (const auto& app : apps)
+      cosim.add_application(app, experiments::paper_slot_of(app.name()), {0.0});
+    return cosim;
+  };
+  const core::CoSimulator short_run = cosim_over(3.0);
+  const core::CoSimulator long_run = cosim_over(12.0);
+  (void)short_run.run();
+
+  const std::size_t short_allocs = allocations_of([&] { (void)short_run.run(); });
+  const std::size_t long_allocs = allocations_of([&] { (void)long_run.run(); });
+  EXPECT_EQ(short_allocs, long_allocs) << "co-simulation step allocates";
 }
 
 TEST(AllocGuard, ExactSearchAllocatesAFixedBudgetNotPerNode) {
